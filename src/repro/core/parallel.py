@@ -1,9 +1,7 @@
-"""Shared process-pool plumbing for CPU-bound fan-out stages.
+"""Process-pool plumbing for the bulk-ingest parse stage.
 
-Two subsystems fan work out across worker processes: the bulk-ingest
-parse stage (:mod:`repro.core.io_.bulk`) and the MiniSQL shard executor
-(:mod:`repro.db.minisql.shard`).  Both need the same careful lifecycle
-that PR 2/PR 4 hardened by hand in ``bulk.py``:
+The parse stage (:mod:`repro.core.io_.bulk`) fans profile parsing out
+across worker processes and needs a careful pool lifecycle:
 
 * **no ``with`` block** around the executor — the context manager's
   exit calls ``shutdown(wait=True)``, which joins the workers and would
@@ -17,16 +15,12 @@ that PR 2/PR 4 hardened by hand in ``bulk.py``:
   future fails the same way, so they are all marked failed at once
   instead of surfacing one confusing traceback per task.
 
-This module extracts that pattern.  :func:`run_tasks` is the one-shot
-form (submit, collect, tear down); :class:`WorkerPool` keeps a pool
-alive across calls for callers with a long-lived worker set (the shard
-executor forks once per shard generation and reuses the workers for
-every query).
+:func:`run_tasks` is the entry point (submit, collect, tear down);
+:class:`WorkerPool` is the pool it runs on.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
@@ -64,17 +58,8 @@ class WorkerPool:
     ``terminate=True`` it kills them outright.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        mp_context: Optional[str] = None,
-        initializer: Optional[Callable[..., None]] = None,
-        initargs: tuple = (),
-    ):
+    def __init__(self, workers: int):
         self.workers = max(1, workers)
-        self._mp_context = mp_context
-        self._initializer = initializer
-        self._initargs = initargs
         self._pool: Optional[ProcessPoolExecutor] = None
 
     # -------------------------------------------------------------- lifecycle --
@@ -85,16 +70,7 @@ class WorkerPool:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            context = (
-                multiprocessing.get_context(self._mp_context)
-                if self._mp_context is not None else None
-            )
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=context,
-                initializer=self._initializer,
-                initargs=self._initargs,
-            )
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 
     def shutdown(self, terminate: bool = False) -> None:
@@ -159,7 +135,6 @@ def run_tasks(
     specs: Sequence[Any],
     workers: Optional[int] = None,
     task_timeout: Optional[float] = None,
-    mp_context: Optional[str] = None,
 ) -> list[Any]:
     """One-shot fan-out: pool up, run every spec, tear the pool down.
 
@@ -168,7 +143,7 @@ def run_tasks(
     """
     if workers is None:
         workers = default_workers(len(specs))
-    pool = WorkerPool(workers, mp_context=mp_context)
+    pool = WorkerPool(workers)
     try:
         return pool.run(fn, specs, task_timeout=task_timeout)
     finally:

@@ -91,10 +91,16 @@ class DataSession:
     def get_application_list(self) -> list[Application]:
         raise NotImplementedError
 
-    def get_experiment_list(self) -> list[Experiment]:
+    def get_experiment_list(
+        self, application: Application | int | None = None
+    ) -> list[Experiment]:
+        """Experiments of ``application``, else of the selected one."""
         raise NotImplementedError
 
-    def get_trial_list(self) -> list[Trial]:
+    def get_trial_list(
+        self, experiment: Experiment | int | None = None
+    ) -> list[Trial]:
+        """Trials of ``experiment``, else of the selection."""
         raise NotImplementedError
 
     def get_metrics(self) -> list[str]:

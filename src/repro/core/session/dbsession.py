@@ -26,7 +26,7 @@ from ..api.entities import Application, Experiment, Trial
 from ..model import ColumnarTrial, DataSource
 from ..model.derived_expr import evaluate_metric_expression, metric_names_in
 from ..schema.manager import SchemaManager
-from .datasession import DataSession
+from .datasession import DataSession, _entity_id
 
 _ILP_COLUMNS = (
     "interval_event, node, context, thread, metric, inclusive, "
@@ -34,7 +34,6 @@ _ILP_COLUMNS = (
     "inclusive_per_call, num_calls, num_subrs"
 )
 _ILP_PLACEHOLDERS = ", ".join("?" * 12)
-_ILP_COLUMN_LIST = tuple(c.strip() for c in _ILP_COLUMNS.split(","))
 _SUMMARY_COLUMNS = (
     "interval_event, metric, inclusive, inclusive_percentage, exclusive, "
     "exclusive_percentage, inclusive_per_call, num_calls, num_subrs"
@@ -99,27 +98,42 @@ class PerfDMFSession(DataSession):
             for row in rows
         ]
 
-    def get_experiment_list(self) -> list[Experiment]:
+    def get_experiment_list(
+        self, application: Application | int | None = None
+    ) -> list[Experiment]:
+        # An explicit parent id leaves the shared selection untouched,
+        # so concurrent callers (the PerfExplorer server's executor
+        # threads) cannot see each other's filters.
+        app_id = (
+            _entity_id(application) if application is not None
+            else self.selection.application_id
+        )
         columns = self.connection.column_names("experiment")
         sql = f"SELECT {', '.join(columns)} FROM experiment"
         params: list[Any] = []
-        if self.selection.application_id is not None:
+        if app_id is not None:
             sql += " WHERE application = ?"
-            params.append(self.selection.application_id)
+            params.append(app_id)
         sql += " ORDER BY id"
         return [
             Experiment.from_row(self.connection, columns, row)  # type: ignore[misc]
             for row in self.connection.query(sql, params)
         ]
 
-    def get_trial_list(self) -> list[Trial]:
+    def get_trial_list(
+        self, experiment: Experiment | int | None = None
+    ) -> list[Trial]:
+        exp_id = (
+            _entity_id(experiment) if experiment is not None
+            else self.selection.experiment_id
+        )
         columns = self.connection.column_names("trial")
         sql = f"SELECT {', '.join(columns)} FROM trial"
         params: list[Any] = []
         conditions = []
-        if self.selection.experiment_id is not None:
+        if exp_id is not None:
             conditions.append("experiment = ?")
-            params.append(self.selection.experiment_id)
+            params.append(exp_id)
         elif self.selection.application_id is not None:
             conditions.append(
                 "experiment IN (SELECT id FROM experiment WHERE application = ?)"
@@ -210,14 +224,6 @@ class PerfDMFSession(DataSession):
                 f"INSERT INTO interval_location_profile ({_ILP_COLUMNS}) "
                 f"VALUES ({_ILP_PLACEHOLDERS})"
             )
-            # When a shard manager is attached to a file-backed minisql
-            # target, location profiles go to the per-shard archives via
-            # parallel writers instead of the single-writer executemany;
-            # rows buffer in the handle until the catalog transaction
-            # commits (so a rollback discards them with it).
-            shard_handle = conn.shard_ingest_handle(
-                "interval_location_profile", _ILP_COLUMN_LIST
-            )
             for m, metric_id in enumerate(metric_ids):
                 if bulk:
                     rows: Iterable[tuple] = _location_rows_bulk(
@@ -225,10 +231,7 @@ class PerfDMFSession(DataSession):
                     )
                 else:
                     rows = _location_rows(columnar, m, metric_id, event_ids)
-                if shard_handle is not None:
-                    shard_handle.add_rows(rows)
-                else:
-                    conn.executemany(ilp_sql, rows)
+                conn.executemany(ilp_sql, rows)
             insert_seconds = perf_counter() - insert_started
 
             index_started = perf_counter()
@@ -248,13 +251,6 @@ class PerfDMFSession(DataSession):
             if bulk:
                 conn.end_bulk()
             raise
-        if shard_handle is not None:
-            # Catalog rows are committed; ship the buffered location
-            # profiles to the shard files (parallel writers, one per
-            # shard).  Flush falls back to executemany on refusal.
-            insert_started = perf_counter()
-            shard_handle.flush(conn)
-            insert_seconds += perf_counter() - insert_started
 
         rows_stored = columnar.num_data_points
         total_seconds = perf_counter() - started

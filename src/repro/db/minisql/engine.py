@@ -15,10 +15,12 @@ autocommit.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Any, Iterator, Optional, Sequence
 
 from repro.obs.log import get_logger
@@ -31,7 +33,7 @@ from .ast_nodes import (
     DropTable, Explain, Insert, Pragma, RollbackTransaction, Select,
     Statement, Update,
 )
-from .errors import InterfaceError, ProgrammingError
+from .errors import DatabaseError, InterfaceError, ProgrammingError
 from .executor import Executor, ResultSet
 from .parser import parse
 from .storage import Database
@@ -78,6 +80,34 @@ def _is_file_target(database: str) -> bool:
     return database.startswith("file:") or database.endswith(".mdb")
 
 
+def _refuse_shard_sidecar(archive: str) -> None:
+    """Fail closed on an archive whose rows partly live in shard files.
+
+    Earlier releases could move a table's rows out of the archive into
+    ``<archive>.shards/`` (scatter-gather sharding, since removed) and
+    recorded that in the sidecar's ``meta.json``.  Opening such an
+    archive here would silently lose those rows, so refuse it without
+    touching the archive or the sidecar.  A sidecar that records no
+    resident table and no pending operation holds nothing and is
+    ignored.
+    """
+    sidecar = Path(archive + ".shards") / "meta.json"
+    if not sidecar.exists():
+        return
+    try:
+        with open(sidecar, "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
+        holds_rows = bool(meta.get("resident") or meta.get("pending"))
+    except (OSError, ValueError, AttributeError):
+        holds_rows = True
+    if holds_rows:
+        raise DatabaseError(
+            f"{archive}: shard sidecar {sidecar} records rows that are not "
+            "in the archive (or cannot be read); hydrate them first with "
+            "PRAGMA shards(off) on the previous release"
+        )
+
+
 def connect(database: str = ":memory:", isolation_level: Optional[str] = "") -> "Connection":
     """Open a MiniSQL connection.
 
@@ -93,8 +123,6 @@ def connect(database: str = ":memory:", isolation_level: Optional[str] = "") -> 
     if database == ":memory:":
         db = Database()
     elif _is_file_target(database):
-        from pathlib import Path
-
         from . import wal as _wal
 
         target = database[len("file:"):] if database.startswith("file:") else database
@@ -102,14 +130,9 @@ def connect(database: str = ":memory:", isolation_level: Optional[str] = "") -> 
         with _SHARED_LOCK:
             db = _FILE_DATABASES.get(key)
             if db is None:
+                _refuse_shard_sidecar(key)
                 db = _wal.open_file_database(key)
                 _FILE_DATABASES[key] = db
-                # Re-attach a persisted shard configuration (PRAGMA
-                # shards on a previous open); recovers any half-finished
-                # shard ingest/hydration from its pending marker.
-                from .shard import ShardManager
-
-                db.shard_mgr = ShardManager.attach(db)
     else:
         with _SHARED_LOCK:
             db = _SHARED_DATABASES.setdefault(database, Database())
@@ -135,17 +158,8 @@ def reset_shared_databases() -> None:
     helper).  File-backed databases are checkpointed first so their
     archives stay loadable by a later open."""
     with _SHARED_LOCK:
-        for db in _SHARED_DATABASES.values():
-            if db.shard_mgr is not None:
-                db.shard_mgr.close()
-                db.shard_mgr = None
         _SHARED_DATABASES.clear()
         for db in _FILE_DATABASES.values():
-            if db.shard_mgr is not None:
-                # Shard files are opened directly (not via connect), so
-                # they are not in _FILE_DATABASES — close them here.
-                db.shard_mgr.close()
-                db.shard_mgr = None
             if db.wal is not None:
                 try:
                     if not db.in_transaction:
@@ -177,10 +191,6 @@ class Connection:
             if self.in_transaction:
                 self.rollback()
             database = self._database
-            if database.shard_mgr is not None:
-                # Drop the scatter worker pool; shard state and files
-                # stay (another connection reforks the pool lazily).
-                database.shard_mgr.on_connection_close()
             if database.wal is not None:
                 # Fold the WAL into a fresh checkpoint so a clean close
                 # leaves a plain (sqlite-loadable) dump and an empty log.
@@ -329,24 +339,14 @@ class Connection:
                 snap_mgr is not None
                 and isinstance(statement, Select)
                 and not self.in_transaction
-                and self._database.shard_mgr is None
             ):
                 # MVCC snapshot read: execute against the pinned
                 # copy-on-write snapshot — never touches (or waits on)
                 # the writer lock.  Inside an explicit transaction the
-                # connection reads its own uncommitted state instead,
-                # and sharded databases keep their scatter-gather path
-                # (shard-resident tables may not be hydrated locally).
+                # connection reads its own uncommitted state instead.
                 self._database.stats["snapshot_selects"] += 1
                 _snapshot_reads.inc()
                 return Executor(snap_mgr.pin()).execute(statement, params)
-            mgr = self._database.shard_mgr
-            if mgr is not None:
-                # Hydrate shard-resident tables the statement needs in
-                # the primary (shard-routable SELECTs hydrate nothing).
-                # Must run before any lock below: hydration takes the
-                # database writer lock itself.
-                mgr.ensure_local(statement)
             mutating = isinstance(statement, _MUTATING) or (
                 isinstance(statement, Explain)
                 and statement.analyze
@@ -460,11 +460,6 @@ class Cursor:
             and len(statement.rows) == 1
         ):
             # Bulk-insert fast path: one lock acquisition, one dispatch.
-            mgr = connection._database.shard_mgr
-            if mgr is not None:
-                # This path bypasses _run, so re-home shard-resident
-                # rows here before taking any lock.
-                mgr.ensure_local(statement)
             observing = connection._observing()
             t0 = time.perf_counter() if observing else 0.0
             with connection._lock:

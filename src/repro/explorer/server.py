@@ -125,26 +125,20 @@ class AnalysisServer:
         ]
 
     def _list_experiments(self, application: int) -> list[dict[str, Any]]:
-        self.session.set_application(application)
-        out = [
+        return [
             {"id": e.id, "name": e.name}
-            for e in self.session.get_experiment_list()
+            for e in self.session.get_experiment_list(application)
         ]
-        self.session.reset_selection()
-        return out
 
     def _list_trials(self, experiment: int) -> list[dict[str, Any]]:
-        self.session.set_experiment(experiment)
-        out = [
+        return [
             {
                 "id": t.id,
                 "name": t.name,
                 "node_count": t.get("node_count"),
             }
-            for t in self.session.get_trial_list()
+            for t in self.session.get_trial_list(experiment)
         ]
-        self.session.reset_selection()
-        return out
 
     def _list_metrics(self, trial: int) -> list[str]:
         return self.session.get_metrics(trial)
@@ -239,12 +233,10 @@ class AnalysisServer:
 
     def _experiment_trials(self, experiment: int) -> list[tuple[int, "object"]]:
         """Load every trial of an experiment as (processors, DataSource)."""
-        self.session.set_experiment(experiment)
         out = []
-        for trial in self.session.get_trial_list():
+        for trial in self.session.get_trial_list(experiment):
             processors = trial.get("node_count") or 1
             out.append((processors, self.session.load_datasource(trial)))
-        self.session.reset_selection()
         return out
 
     def _speedup_chart(

@@ -117,26 +117,23 @@ def write_bench_json(
 ) -> dict[str, Any]:
     """Merge one benchmark section into ``path`` under the envelope.
 
-    All writers (E1/E6 via the benchmarks conftest, E11–E15 directly)
+    All writers (E1/E6 via the benchmarks conftest, E11–E17 directly)
     go through here, so every emitted file has the same shape and
-    ``bench ingest`` needs no per-file special cases.  A pre-envelope
-    file is upgraded in place: its top-level dict sections move under
-    ``benchmarks``.  Returns the document written.
+    ``bench ingest`` needs no per-file special cases.  Sibling sections
+    of an envelope file are kept.  A pre-envelope file is replaced, not
+    merged: its top level may be one bare payload whose dicts are not
+    sections, and its numbers already live in the bench history.
+    Returns the document written.
     """
     path = Path(path)
-    doc: dict[str, Any] = {}
+    sections: dict[str, Any] = {}
     if path.exists():
         try:
-            doc = json.loads(path.read_text())
-        except ValueError:
-            doc = {}
-    sections = doc.get("benchmarks")
-    if not isinstance(sections, dict):
-        # Legacy layout: sections sat at the top level.
-        sections = {
-            k: v for k, v in doc.items()
-            if k not in _ENVELOPE_KEYS and isinstance(v, dict)
-        }
+            existing = json.loads(path.read_text()).get("benchmarks")
+        except (ValueError, AttributeError):
+            existing = None
+        if isinstance(existing, dict):
+            sections = existing
     sections[section] = dict(payload)
     doc = bench_envelope()
     doc["benchmarks"] = sections

@@ -1,17 +1,15 @@
-"""Unit tests for the shared process-pool plumbing (repro.core.parallel).
+"""Unit tests for the process-pool plumbing (repro.core.parallel).
 
-Both fan-out subsystems (bulk-ingest parsing, shard query execution)
-lean on these semantics: spec-order results, TaskFailure sentinels
-instead of raised exceptions, termination after timeouts, and pool
-re-creation after a BrokenProcessPool.
+The bulk-ingest parse stage leans on these semantics: spec-order
+results, TaskFailure sentinels instead of raised exceptions,
+termination after timeouts, and pool re-creation after a
+BrokenProcessPool.
 """
 
 from __future__ import annotations
 
 import os
 import time
-
-import pytest
 
 from repro.core.parallel import TaskFailure, WorkerPool, default_workers, run_tasks
 
@@ -119,30 +117,6 @@ class TestWorkerPool:
     def test_workers_floor_is_one(self):
         assert WorkerPool(workers=0).workers == 1
         assert WorkerPool(workers=-3).workers == 1
-
-    def test_fork_context_with_initializer(self):
-        if "fork" not in __import__("multiprocessing").get_all_start_methods():
-            pytest.skip("fork start method unavailable")
-        pool = WorkerPool(
-            workers=1, mp_context="fork",
-            initializer=_init_marker, initargs=(42,),
-        )
-        try:
-            assert pool.run(_read_marker, [None]) == [42]
-        finally:
-            pool.shutdown()
-
-
-_MARKER = None
-
-
-def _init_marker(value):
-    global _MARKER
-    _MARKER = value
-
-
-def _read_marker(_x):
-    return _MARKER
 
 
 class TestDefaultWorkers:

@@ -60,11 +60,17 @@ class TestEnvelope:
         assert set(doc["benchmarks"]) == {"e1", "e2"}
 
     def test_write_upgrades_legacy_file(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        path.write_text(json.dumps({"old_section": {"v": 1}}))
-        write_bench_json(path, "e1", {"a": 1})
+        # A pre-envelope file is one bare payload (E13's shape): its
+        # top-level dicts are not sections, so the write replaces it.
+        path = tmp_path / "BENCH_e13_compile.json"
+        path.write_text(json.dumps({
+            "compile_stats": {"plan_cache_hits": 8},
+            "patterns": {"aggregate": {"speedup": 2.8}},
+            "ranks": 1024,
+        }))
+        write_bench_json(path, "e13_compile", {"speedup": 3.0})
         doc = json.loads(path.read_text())
-        assert set(doc["benchmarks"]) == {"old_section", "e1"}
+        assert doc["benchmarks"] == {"e13_compile": {"speedup": 3.0}}
 
     def test_normalize_envelope_document(self):
         doc = {
