@@ -27,8 +27,9 @@ from repro.obs.bench import DEFAULT_HISTORY, BenchArchive, tidy_archive  # noqa:
 
 #: Pre-envelope files whose top level was the payload itself rather than
 #: a ``{section: payload}`` mapping — a one-time seeding concern; every
-#: current writer goes through ``write_bench_json``.  E15 (sharding) is
-#: retired, but its file is still in git history, which this replays.
+#: current writer goes through ``write_bench_json``.  E13 (query
+#: compilation) and E15 (sharding) are retired, but their files are
+#: still in git history, which this replays.
 LEGACY_BARE_SECTIONS = {
     "BENCH_e13_compile.json": "e13_compile",
     "BENCH_e14_columnar.json": "e14_columnar",

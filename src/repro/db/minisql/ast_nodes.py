@@ -2,8 +2,8 @@
 
 Every node is a frozen-ish dataclass; the parser builds these and the
 planner/executor consume them.  Expression nodes implement nothing —
-evaluation lives in :mod:`repro.db.minisql.expr` so the AST stays a pure
-data description.
+evaluation lives in :mod:`repro.db.minisql.compile` so the AST stays a
+pure data description.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ class Like(Expression):
 class Subquery(Expression):
     """An uncorrelated scalar-column subquery, e.g. ``IN (SELECT id ...)``.
 
-    The executor materialises it into a literal list before evaluation;
-    it never reaches the expression evaluator.
+    It compiles to a closure over a cell the executor fills by running
+    the subquery once per execution (see ``compile.SubqueryCell``).
     """
 
     select: "Select"

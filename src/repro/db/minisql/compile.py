@@ -1,38 +1,33 @@
-"""Expression-to-closure compilation for MiniSQL.
+"""Expression-to-closure compilation: MiniSQL's only expression engine.
 
-The interpreter in :mod:`~repro.db.minisql.expr` re-walks the AST for
-every row: each node costs an ``isinstance`` dispatch chain, and every
-column reference goes through a dict lookup (plus exception handling for
-the ambiguous/missing cases) in ``RowContext``.  At PerfDMF scale — §5.3
-queries over >1.6M interval_location_profile rows — that interpretive
-overhead dominates query time.
-
-This module lowers a bound expression tree into nested Python closures
-*once per statement*:
+Every expression MiniSQL evaluates — WHERE, ON, projections, GROUP BY
+keys, aggregate arguments, HAVING, ORDER BY, UPDATE assignments, and
+the constants in LIMIT/OFFSET, DEFAULT and INSERT VALUES — is lowered
+into nested Python closures *once per statement* and cached on the
+statement's plan:
 
 * column references resolve to fixed row offsets at compile time
   (``row[17]``, no per-row name resolution);
 * literals are pre-bound constants; placeholders index ``params``;
 * comparison operators become pre-selected :mod:`operator` functions
-  wrapped in the exact NULL/affinity-coercion rules of
-  ``expr._compare``;
-* ``LIKE`` against a literal pattern pre-compiles its regex.
+  wrapped in the NULL/affinity-coercion rules of ``_compare_values``;
+* ``LIKE`` against a literal pattern pre-compiles its regex;
+* ``IN (SELECT ...)`` reads a :class:`SubqueryCell` that the executor
+  fills once per execution (subqueries are uncorrelated).
 
 Every closure has the uniform signature ``fn(row, params, aggs) ->
 value`` — ``aggs`` carries finalized aggregate values for post-GROUP BY
 expressions (HAVING, projections over aggregates), and is ``None``
-during row scans.
+during row scans.  Constant expressions run with ``row=None``.
 
-Semantics are the interpreter's, bit for bit: three-valued logic,
-NULL propagation, sqlite's numeric-string comparison coercion,
-division-by-zero → NULL, and the int-division rule all mirror
-``expr.py``.  Anything the compiler cannot prove it handles identically
-— unresolvable or ambiguous column refs (the interpreter only raises
-when a row actually exists), unknown scalar functions, aggregate misuse,
-subqueries, ``*`` — raises :class:`CannotCompile` and the executor falls
-back to the interpreter for that pipeline section.  The differential SQL
-corpus runs under both ``PRAGMA compile on`` and ``off`` to prove the
-two paths agree.
+Semantics: three-valued logic, NULL propagation, sqlite's
+numeric-string comparison coercion, division-by-zero → NULL, and the
+int-division rule.  The compiler never refuses an expression.  A name
+it cannot resolve — an unknown or ambiguous column, an unknown
+function, a misused aggregate, a stray ``*`` — compiles to a closure
+that raises ``ProgrammingError`` the first time it runs, so a bad name
+over an empty table returns no rows instead of an error.  Stdlib
+``sqlite3`` is the reference these semantics are tested against.
 """
 
 from __future__ import annotations
@@ -40,29 +35,20 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .ast_nodes import (
     Between, BinaryOp, CaseExpr, CastExpr, ColumnRef, Expression,
-    FunctionCall, InList, IsNull, Like, Literal, Placeholder, UnaryOp,
+    FunctionCall, InList, IsNull, Like, Literal, Placeholder, Star,
+    Subquery, UnaryOp,
 )
 from .errors import DataError, ProgrammingError
-from .expr import _as_text, _like_regex, _maybe_number, truthy
-from .functions import SCALAR_FUNCTIONS, is_aggregate
+from .expr import _as_text, _like_regex, _maybe_number, ref_name, truthy
+from .functions import SCALAR_FUNCTIONS, call_scalar, is_aggregate
 from .types import cast_value
 
 #: Compiled closure signature: (row, params, aggs) -> value.
 CompiledExpr = Callable[[Sequence[Any], Sequence[Any], Optional[Sequence[Any]]], Any]
-
-
-class CannotCompile(Exception):
-    """Raised when an expression must stay on the interpreter.
-
-    Not an error: the executor catches it and routes the pipeline
-    section through ``expr.evaluate`` so behaviour (including *when*
-    errors are raised — e.g. a bad column name over an empty table) is
-    unchanged.
-    """
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +57,47 @@ class CannotCompile(Exception):
 
 
 @dataclass
+class SubqueryCell:
+    """Result values of one uncorrelated ``IN (SELECT ...)``.
+
+    The executor refills ``values`` at the start of every execution of
+    the plan that owns the cell, so each statement run sees one
+    consistent subquery result without re-planning.
+    """
+
+    select: Any  # ast_nodes.Select
+    values: list = field(default_factory=list)
+
+
+@dataclass
+class Scope:
+    """What one compiled section can see.
+
+    ``resolution`` maps lowered column keys (``name`` / ``alias.name``)
+    to row offsets; None means there is no row at all (constants).
+    ``ambiguous`` holds bare names more than one joined table defines.
+    ``subqueries`` maps ``id(Subquery)`` to the plan's cells; None
+    where the statement has no plan to own them.
+    """
+
+    resolution: Optional[Mapping[str, int]]
+    ambiguous: frozenset = frozenset()
+    subqueries: Optional[dict[int, SubqueryCell]] = None
+
+
+#: Scope of expressions evaluated without a row (LIMIT, DEFAULT, ...).
+NO_ROW = Scope(None)
+
+
+@dataclass
 class JoinPlan:
     """Compiled closures for one hash/nested-loop join stage."""
 
+    #: Hash-join keys; both None when the ON condition has no equi-key
+    #: (nested loop).
     probe: Optional[CompiledExpr]  # outer-side key, over the padded row
     build: Optional[CompiledExpr]  # inner-side key, over the inner table row
-    condition: Optional[CompiledExpr]  # full ON condition, over the padded row
+    condition: CompiledExpr  # full ON condition, over the padded row
 
 
 @dataclass
@@ -99,26 +120,22 @@ class GroupPlan:
 
 @dataclass
 class SelectPlan:
-    """Everything compiled for one SELECT, cached on the Statement.
-
-    Sections are independently optional: ``None`` means "interpret that
-    stage".  ``fallbacks`` counts the sections that needed the
-    interpreter, charged to ``Database.stats['compile_fallbacks']`` once
-    per execution.
-    """
+    """Everything compiled for one SELECT, cached on the Statement."""
 
     schema_version: int
-    layout: Any  # executor._Layout, reused across executions
-    columns: Optional[list[str]]  # result column names (None: expansion failed)
-    exprs: Optional[list[Any]]  # _expand_items output (int | Expression)
-    where_fn: Optional[CompiledExpr]
-    joins: list[Optional[JoinPlan]] = field(default_factory=list)
-    grouped: Optional[GroupPlan] = None
+    layout: Any  # executor._Layout, reused across executions; None without FROM
+    columns: list[str]  # result column names
+    exprs: list[Any]  # _expand_items output (int | Expression)
+    where_fn: Optional[CompiledExpr]  # None = no WHERE clause
+    joins: list[Optional[JoinPlan]] = field(default_factory=list)  # None = CROSS
+    grouped: Optional[GroupPlan] = None  # set exactly when is_grouped
     is_grouped: bool = False
     proj: Optional[list[Any]] = None  # per column: int | closure
     order_specs: Optional[list[tuple[Any, bool]]] = None
-    order_compiled: bool = False
-    fallbacks: int = 0
+    limit_fn: Optional[CompiledExpr] = None
+    offset_fn: Optional[CompiledExpr] = None
+    #: ``id(Subquery)`` -> cell, refilled by the executor per execution.
+    subqueries: dict[int, SubqueryCell] = field(default_factory=dict)
     #: Column-projection pushdown for single-table full scans: row
     #: positions the statement touches, plus the same sections recompiled
     #: against the compacted row shape.  None when ineligible.
@@ -142,12 +159,14 @@ class CompactPlan:
 
 @dataclass
 class DMLPlan:
-    """Compiled WHERE / SET closures for UPDATE and DELETE."""
+    """Compiled closures for INSERT VALUES, UPDATE and DELETE."""
 
     schema_version: int
-    where_fn: Optional[CompiledExpr]
-    assign_fns: Optional[list[tuple[int, CompiledExpr]]]
-    fallbacks: int = 0
+    where_fn: Optional[CompiledExpr] = None
+    assign_fns: list[tuple[int, CompiledExpr]] = field(default_factory=list)
+    #: INSERT: one closure list per VALUES row.
+    values_fns: list[list[CompiledExpr]] = field(default_factory=list)
+    subqueries: dict[int, SubqueryCell] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +182,9 @@ _CMP_FUNCS = {
 
 def _compare_values(opf: Callable[[Any, Any], bool], is_ne: bool,
                     left: Any, right: Any) -> Any:
-    """``expr._compare`` with the operator pre-dispatched."""
+    """SQL comparison with the operator pre-dispatched: NULL propagates,
+    and a numeric-looking string compares as a number against numbers
+    (text and numbers are otherwise incomparable: only ``<>`` holds)."""
     if left is None or right is None:
         return None
     if isinstance(left, str) != isinstance(right, str):
@@ -176,11 +197,8 @@ def _compare_values(opf: Callable[[Any, Any], bool], is_ne: bool,
     return int(opf(left, right))
 
 
-_EQ = operator.eq
-
-
 def _eq_values(left: Any, right: Any) -> Any:
-    """``expr._compare('=', ...)`` — shared by IN / simple CASE."""
+    """``_compare_values`` for ``=`` — shared by IN / simple CASE."""
     if left is None or right is None:
         return None
     if isinstance(left, str) != isinstance(right, str):
@@ -193,19 +211,49 @@ def _eq_values(left: Any, right: Any) -> Any:
     return int(left == right)
 
 
+def _in_result(value: Any, candidates: Iterable[Any], negated: bool) -> Any:
+    """Three-valued ``value [NOT] IN candidates`` for a non-NULL value."""
+    saw_null = False
+    for candidate in candidates:
+        if candidate is None:
+            saw_null = True
+            continue
+        if _eq_values(value, candidate):
+            return int(not negated)
+    if saw_null:
+        return None
+    return int(negated)
+
+
+def failing(message: str) -> CompiledExpr:
+    """A closure that raises ``ProgrammingError(message)`` when run."""
+
+    def fail_fn(row, params, aggs):
+        raise ProgrammingError(message)
+
+    return fail_fn
+
+
+def _column_error(ref: ColumnRef, scope: Scope) -> str:
+    if scope.resolution is None:
+        return f"column reference {ref_name(ref)} outside a row context"
+    if ref.table is None and ref.name.lower() in scope.ambiguous:
+        return f"ambiguous column name: {ref.name}"
+    return f"no such column: {ref.qualified}"
+
+
 def compile_expr(
     expr: Expression,
-    resolution: Mapping[str, int],
+    scope: Scope,
     agg_slots: Optional[dict[int, int]] = None,
     used: Optional[set] = None,
 ) -> CompiledExpr:
-    """Lower ``expr`` to a closure, or raise :class:`CannotCompile`.
+    """Lower ``expr`` to a closure over ``scope``; never raises.
 
-    ``resolution`` maps lowered column keys (``name`` / ``alias.name``)
-    to row offsets.  ``agg_slots`` maps ``id(FunctionCall)`` of
-    precomputed aggregate call sites to indexes into the ``aggs``
-    argument.  ``used`` (when given) accumulates every row offset the
-    compiled closure reads — the projection-pushdown analysis.
+    ``agg_slots`` maps ``id(FunctionCall)`` of precomputed aggregate
+    call sites to indexes into the ``aggs`` argument.  ``used`` (when
+    given) accumulates every row offset the compiled closure reads —
+    the projection-pushdown analysis.
     """
     if isinstance(expr, Literal):
         value = expr.value
@@ -226,18 +274,20 @@ def compile_expr(
         return placeholder_fn
 
     if isinstance(expr, ColumnRef):
-        position = resolution.get(expr.qualified.lower())
+        resolution = scope.resolution
+        position = (
+            resolution.get(expr.qualified.lower())
+            if resolution is not None else None
+        )
         if position is None:
-            # Ambiguous or unknown name: the interpreter raises only when
-            # a row is actually bound, so this must stay interpreted.
-            raise CannotCompile(expr.qualified)
+            return failing(_column_error(expr, scope))
         if used is not None:
             used.add(position)
         return lambda row, params, aggs: row[position]
 
     if isinstance(expr, UnaryOp):
         op = expr.op
-        operand = compile_expr(expr.operand, resolution, agg_slots, used)
+        operand = compile_expr(expr.operand, scope, agg_slots, used)
         if op == "NOT":
             def not_fn(row, params, aggs):
                 value = operand(row, params, aggs)
@@ -254,47 +304,25 @@ def compile_expr(
                     raise DataError(f"non-numeric operand for unary -: {value!r}")
                 return -value
             return neg_fn
-        # Unknown unary ops raise per-row in the interpreter (after a
-        # NULL short-circuit) — leave them there.
-        raise CannotCompile(f"unary {op}")
+        return failing(f"unknown unary operator {op}")
 
     if isinstance(expr, BinaryOp):
-        return _compile_binary(expr, resolution, agg_slots, used)
+        return _compile_binary(expr, scope, agg_slots, used)
 
     if isinstance(expr, IsNull):
-        operand = compile_expr(expr.operand, resolution, agg_slots, used)
+        operand = compile_expr(expr.operand, scope, agg_slots, used)
         negated = expr.negated
         return lambda row, params, aggs: int(
             (operand(row, params, aggs) is None) != negated
         )
 
     if isinstance(expr, InList):
-        operand = compile_expr(expr.operand, resolution, agg_slots, used)
-        items = [compile_expr(i, resolution, agg_slots, used) for i in expr.items]
-        negated = expr.negated
-
-        def in_fn(row, params, aggs):
-            value = operand(row, params, aggs)
-            if value is None:
-                return None
-            saw_null = False
-            for item in items:
-                candidate = item(row, params, aggs)
-                if candidate is None:
-                    saw_null = True
-                    continue
-                if _eq_values(value, candidate):
-                    return int(not negated)
-            if saw_null:
-                return None
-            return int(negated)
-
-        return in_fn
+        return _compile_in(expr, scope, agg_slots, used)
 
     if isinstance(expr, Between):
-        operand = compile_expr(expr.operand, resolution, agg_slots, used)
-        low = compile_expr(expr.low, resolution, agg_slots, used)
-        high = compile_expr(expr.high, resolution, agg_slots, used)
+        operand = compile_expr(expr.operand, scope, agg_slots, used)
+        low = compile_expr(expr.low, scope, agg_slots, used)
+        high = compile_expr(expr.high, scope, agg_slots, used)
         negated = expr.negated
         ge = operator.ge
         le = operator.le
@@ -313,7 +341,7 @@ def compile_expr(
         return between_fn
 
     if isinstance(expr, Like):
-        operand = compile_expr(expr.operand, resolution, agg_slots, used)
+        operand = compile_expr(expr.operand, scope, agg_slots, used)
         negated = expr.negated
         if isinstance(expr.pattern, Literal) and expr.pattern.value is not None:
             regex = _like_regex(str(expr.pattern.value))
@@ -326,7 +354,7 @@ def compile_expr(
                 return int(result != negated)
 
             return like_const_fn
-        pattern = compile_expr(expr.pattern, resolution, agg_slots, used)
+        pattern = compile_expr(expr.pattern, scope, agg_slots, used)
 
         def like_fn(row, params, aggs):
             value = operand(row, params, aggs)
@@ -339,31 +367,71 @@ def compile_expr(
         return like_fn
 
     if isinstance(expr, FunctionCall):
-        return _compile_function(expr, resolution, agg_slots, used)
+        return _compile_function(expr, scope, agg_slots, used)
 
     if isinstance(expr, CaseExpr):
-        return _compile_case(expr, resolution, agg_slots, used)
+        return _compile_case(expr, scope, agg_slots, used)
 
     if isinstance(expr, CastExpr):
-        operand = compile_expr(expr.operand, resolution, agg_slots, used)
+        operand = compile_expr(expr.operand, scope, agg_slots, used)
         target = expr.target_type
         return lambda row, params, aggs: cast_value(
             operand(row, params, aggs), target
         )
 
-    # Star, Subquery, anything new: interpreter territory.
-    raise CannotCompile(type(expr).__name__)
+    if isinstance(expr, Star):
+        return failing("'*' is only valid in a select list or COUNT(*)")
+
+    return failing(f"cannot evaluate expression node {type(expr).__name__}")
+
+
+def _compile_in(
+    expr: InList,
+    scope: Scope,
+    agg_slots: Optional[dict[int, int]],
+    used: Optional[set],
+) -> CompiledExpr:
+    operand = compile_expr(expr.operand, scope, agg_slots, used)
+    negated = expr.negated
+    items = expr.items
+    if (
+        len(items) == 1 and isinstance(items[0], Subquery)
+        and scope.subqueries is not None
+    ):
+        cell = scope.subqueries.get(id(items[0]))
+        if cell is None:
+            cell = scope.subqueries[id(items[0])] = SubqueryCell(items[0].select)
+
+        def in_subquery_fn(row, params, aggs):
+            value = operand(row, params, aggs)
+            if value is None:
+                return None
+            return _in_result(value, cell.values, negated)
+
+        return in_subquery_fn
+
+    item_fns = [compile_expr(i, scope, agg_slots, used) for i in items]
+
+    def in_fn(row, params, aggs):
+        value = operand(row, params, aggs)
+        if value is None:
+            return None
+        return _in_result(
+            value, (item(row, params, aggs) for item in item_fns), negated
+        )
+
+    return in_fn
 
 
 def _compile_binary(
     expr: BinaryOp,
-    resolution: Mapping[str, int],
+    scope: Scope,
     agg_slots: Optional[dict[int, int]],
     used: Optional[set],
 ) -> CompiledExpr:
     op = expr.op
-    left = compile_expr(expr.left, resolution, agg_slots, used)
-    right = compile_expr(expr.right, resolution, agg_slots, used)
+    left = compile_expr(expr.left, scope, agg_slots, used)
+    right = compile_expr(expr.right, scope, agg_slots, used)
 
     if op == "AND":
         def and_fn(row, params, aggs):
@@ -474,13 +542,12 @@ def _compile_binary(
             return lhs % rhs
         return mod_fn
 
-    # Unknown binary operator: interpreter raises per row.
-    raise CannotCompile(f"binary {op}")
+    return failing(f"unknown operator {op}")
 
 
 def _compile_function(
     expr: FunctionCall,
-    resolution: Mapping[str, int],
+    scope: Scope,
     agg_slots: Optional[dict[int, int]],
     used: Optional[set],
 ) -> CompiledExpr:
@@ -490,14 +557,16 @@ def _compile_function(
         if slot is not None:
             return lambda row, params, aggs: aggs[slot]
     if is_aggregate(name) and not (name in ("MIN", "MAX") and len(expr.args) >= 2):
-        # Aggregate misuse raises per-row in the interpreter; nested
-        # aggregates inside a grouped query take this path too.
-        raise CannotCompile(f"aggregate {name}")
+        return failing(
+            f"misuse of aggregate function {name}() outside GROUP BY context"
+        )
     fn = SCALAR_FUNCTIONS.get(name)
+    args = [compile_expr(a, scope, agg_slots, used) for a in expr.args]
     if fn is None:
-        # "no such function" is a per-row error in the interpreter.
-        raise CannotCompile(f"function {name}")
-    args = [compile_expr(a, resolution, agg_slots, used) for a in expr.args]
+        # call_scalar raises "no such function", after argument errors.
+        return lambda row, params, aggs: call_scalar(
+            name, [a(row, params, aggs) for a in args]
+        )
 
     if len(args) == 1:
         arg0 = args[0]
@@ -526,23 +595,23 @@ def _compile_function(
 
 def _compile_case(
     expr: CaseExpr,
-    resolution: Mapping[str, int],
+    scope: Scope,
     agg_slots: Optional[dict[int, int]],
     used: Optional[set],
 ) -> CompiledExpr:
     whens = [
         (
-            compile_expr(condition, resolution, agg_slots, used),
-            compile_expr(result, resolution, agg_slots, used),
+            compile_expr(condition, scope, agg_slots, used),
+            compile_expr(result, scope, agg_slots, used),
         )
         for condition, result in expr.whens
     ]
     default = (
-        compile_expr(expr.default, resolution, agg_slots, used)
+        compile_expr(expr.default, scope, agg_slots, used)
         if expr.default is not None else None
     )
     if expr.operand is not None:
-        subject_fn = compile_expr(expr.operand, resolution, agg_slots, used)
+        subject_fn = compile_expr(expr.operand, scope, agg_slots, used)
 
         def case_simple_fn(row, params, aggs):
             subject = subject_fn(row, params, aggs)
@@ -570,24 +639,6 @@ def _compile_case(
     return case_fn
 
 
-def try_compile(
-    expr: Expression,
-    resolution: Mapping[str, int],
-    agg_slots: Optional[dict[int, int]] = None,
-    used: Optional[set] = None,
-) -> Optional[CompiledExpr]:
-    """``compile_expr`` returning None instead of raising.
-
-    Catches *any* exception: a compile-time failure must never surface
-    differently than the interpreter would — the section simply stays
-    interpreted and the interpreter raises (or not) with its own timing.
-    """
-    try:
-        return compile_expr(expr, resolution, agg_slots, used)
-    except Exception:
-        return None
-
-
 # ---------------------------------------------------------------------------
 # vectorized lowering (columnar tables)
 # ---------------------------------------------------------------------------
@@ -599,10 +650,9 @@ def try_compile(
 # executor is *atomic-or-fallback*: a vector plan either completes and
 # returns results provably identical to the row engine's, or the
 # executor abandons it (any exception, impure column, runtime type
-# surprise) and re-executes through the compiled-row/interpreter path —
-# which then reproduces errors with canonical per-row timing.  Vector
-# evaluation is side-effect free, so abandoning a half-finished batch is
-# always safe.  This mirrors the CannotCompile discipline one level up.
+# surprise) and re-executes through the row closures, which then
+# reproduce errors with canonical per-row timing.  Vector evaluation is
+# side-effect free, so abandoning a half-finished batch is always safe.
 #
 # Purity: affinity coercion guarantees TEXT columns hold only str/None,
 # but INTEGER/REAL/NUMERIC columns may legally hold stray strings (the

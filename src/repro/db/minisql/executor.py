@@ -1,6 +1,7 @@
 """Statement execution for MiniSQL.
 
-The executor interprets parsed statements against a
+The executor runs parsed statements, with their expressions compiled
+to closures (:mod:`~repro.db.minisql.compile`), against a
 :class:`~repro.db.minisql.storage.Database`.  SELECT execution is a
 straightforward pipeline — scan → join → filter → group → having →
 project → distinct → compound → order → limit — with two optimisations
@@ -30,23 +31,21 @@ from .ast_nodes import (
     AlterTableAddColumn, AlterTableRename, BeginTransaction, Between,
     BinaryOp, ColumnDef, ColumnRef, CommitTransaction, CreateIndex,
     CreateTable, Delete, DropIndex, DropTable, Expression, FunctionCall,
-    InList, Insert, Join, Literal, OrderItem, Placeholder, Pragma,
-    RollbackTransaction, Select, SelectItem, Star, Statement, Subquery,
-    TableRef, Update,
+    Insert, Literal, OrderItem, Placeholder, Pragma, RollbackTransaction,
+    Select, SelectItem, Star, Statement, TableRef, Update,
 )
 from .compile import (
-    _VS, CompactPlan, DMLPlan, GroupPlan, JoinPlan, SelectPlan, VectorPlan,
-    compile_expr, try_compile, try_vcompile,
+    _VS, NO_ROW, CompactPlan, DMLPlan, GroupPlan, JoinPlan, Scope,
+    SelectPlan, SubqueryCell, VectorPlan, compile_expr, failing, try_vcompile,
 )
 from .dump import _create_table_sql, _render_value
 from .errors import (
     IntegrityError, NotSupportedError, OperationalError, ProgrammingError,
 )
 from .expr import (
-    RowContext, column_refs, contains_aggregate, evaluate, is_aggregate_call,
-    ref_name, truthy, walk,
+    column_refs, contains_aggregate, is_aggregate_call, ref_name, truthy, walk,
 )
-from .functions import is_aggregate, make_aggregate
+from .functions import make_aggregate
 from .storage import Column, Database, Index, OMITTED, SortedIndex, Table
 from .types import sort_key
 
@@ -55,7 +54,6 @@ from .types import sort_key
 # ``Connection.stats()``).
 _PLAN_HITS = _metrics.counter("minisql.compile.plan_cache_hits")
 _PLAN_MISSES = _metrics.counter("minisql.compile.plan_cache_misses")
-_COMPILE_FALLBACKS = _metrics.counter("minisql.compile.fallbacks")
 _COMPILE_SECONDS = _metrics.histogram("minisql.compile.seconds")
 # Columnar / vectorized execution telemetry.
 _VECTOR_SELECTS = _metrics.counter("minisql.columnar.vector_selects")
@@ -174,28 +172,27 @@ class Executor:
             return self._execute_explain_analyze(stmt, params)
         steps = self._explain_steps(stmt.statement, params)
         rows = [
-            (i, detail, compiled, vectorized)
-            for i, (detail, _label, compiled, vectorized) in enumerate(steps)
+            (i, detail, vectorized)
+            for i, (detail, _label, vectorized) in enumerate(steps)
         ]
-        return ResultSet(["id", "detail", "compiled", "vectorized"], rows)
+        return ResultSet(["id", "detail", "vectorized"], rows)
 
     def _explain_steps(
         self, inner: Statement, params: Sequence[Any], analyze: bool = False
-    ) -> list[tuple[str, Optional[str], Optional[str], Optional[str]]]:
-        """Plan-step (description, analyze-probe label, compiled,
-        vectorized) tuples.
+    ) -> list[tuple[str, Optional[str], Optional[str]]]:
+        """Plan-step (description, analyze-probe label, vectorized) tuples.
 
         The "WHERE filter" step only appears under ``analyze`` — plain
         EXPLAIN keeps its historical sqlite-like shape (access path,
         joins, group/order) that tests and tooling match exactly.
-        ``compiled`` is "yes"/"no" for steps the closure compiler can
+        ``vectorized`` is "yes"/"no" for steps the whole-column plan can
         cover, None where the notion does not apply (CROSS JOIN,
-        compound glue, DML, constant rows); ``vectorized`` is the same
-        for the whole-column plan — it reports plan *capability*, since
-        the vector path can still yield to the row engine at run time
-        (impure column, empty table, mid-flight error).
+        compound glue, DML, constant rows).  It reports plan
+        *capability*: the vector path can still yield to the row
+        closures at run time (impure column, empty table, mid-flight
+        error).
         """
-        steps: list[tuple[str, Optional[str], Optional[str], Optional[str]]] = []
+        steps: list[tuple[str, Optional[str], Optional[str]]] = []
         if isinstance(inner, Select) and inner.table is not None:
             table = self.database.table(inner.table.name)
             conjuncts = _conjuncts(inner.where) if not inner.joins else []
@@ -205,28 +202,21 @@ class Executor:
                 params, _select_alias_names(inner),
             )
             try:
-                splan = self._compiled_select(inner)
+                vector = self._compiled_select(inner).vector
             except Exception:
-                splan = None
-            vector = splan.vector if splan is not None else None
-
-            def flag(section_compiled: bool) -> str:
-                return "yes" if splan is not None and section_compiled else "no"
+                vector = None
 
             def vflag(section_vectorized: bool) -> str:
                 return "yes" if vector is not None and section_vectorized else "no"
 
-            steps.append((
-                plan.describe(table), "scan", flag(splan is not None),
-                vflag(vector is not None),
-            ))
+            steps.append((plan.describe(table), "scan", vflag(True)))
             layout = _Layout.build(self.database, inner)
             offset = len(table.columns)
             for i, join in enumerate(inner.joins):
                 inner_table = self.database.table(join.table.name)
                 if join.kind == "CROSS" or join.condition is None:
                     steps.append(
-                        (f"CROSS JOIN {inner_table.name}", f"join{i}", None, None)
+                        (f"CROSS JOIN {inner_table.name}", f"join{i}", None)
                     )
                 else:
                     equi = _find_equi_key(
@@ -238,14 +228,12 @@ class Executor:
                     steps.append((
                         f"{strategy} {inner_table.name} ({join.kind})",
                         f"join{i}",
-                        flag(splan is not None and splan.joins[i] is not None),
                         vflag(False),
                     ))
                 offset += len(inner_table.columns)
             if analyze and inner.where is not None:
                 steps.append((
                     "WHERE filter", "where",
-                    flag(splan is not None and splan.where_fn is not None),
                     vflag(vector is not None and vector.where_fn is not None),
                 ))
             if inner.group_by or any(
@@ -253,29 +241,21 @@ class Executor:
             ):
                 steps.append((
                     "GROUP BY (hash aggregation)", None,
-                    flag(splan is not None and splan.grouped is not None),
                     vflag(vector is not None and vector.kind == "agg"),
                 ))
             if inner.order_by:
-                order_flag = flag(
-                    splan is not None and (
-                        splan.grouped is not None
-                        if splan.is_grouped else splan.order_compiled
-                    )
-                )
                 steps.append((
                     "ORDER BY (index order)" if plan.ordered
                     else "ORDER BY (sort)",
                     None,
-                    order_flag,
-                    vflag(vector is not None),
+                    vflag(True),
                 ))
             if inner.compound is not None:
-                steps.append((f"COMPOUND {inner.compound[0]}", None, None, None))
+                steps.append((f"COMPOUND {inner.compound[0]}", None, None))
         elif isinstance(inner, Select):
-            steps.append(("CONSTANT ROW (no FROM)", None, None, None))
+            steps.append(("CONSTANT ROW (no FROM)", None, None))
         else:
-            steps.append((type(inner).__name__.upper(), None, None, None))
+            steps.append((type(inner).__name__.upper(), None, None))
         return steps
 
     def _execute_explain_analyze(self, stmt, params: Sequence[Any]) -> ResultSet:
@@ -294,23 +274,18 @@ class Executor:
         # stats counters, so the numbers stay pure.
         steps = self._explain_steps(inner, params, analyze=True)
         rows: list[tuple[Any, ...]] = []
-        for i, (detail, label, compiled, vectorized) in enumerate(steps):
+        for i, (detail, label, vectorized) in enumerate(steps):
             info = probe.steps.get(label) if label is not None else None
             rows.append((
                 i,
                 detail,
                 int(info["rows"]) if info is not None else None,
                 round(info["time"] * 1000.0, 3) if info is not None else None,
-                compiled,
                 vectorized,
             ))
         cardinality = len(result.rows) if result.columns else result.rowcount
-        rows.append(
-            (len(rows), "RESULT", cardinality, round(total_ms, 3), None, None)
-        )
-        return ResultSet(
-            ["id", "detail", "rows", "time_ms", "compiled", "vectorized"], rows
-        )
+        rows.append((len(rows), "RESULT", cardinality, round(total_ms, 3), None))
+        return ResultSet(["id", "detail", "rows", "time_ms", "vectorized"], rows)
 
     # ------------------------------------------------------------------ DDL --
 
@@ -324,7 +299,7 @@ class Executor:
         for cdef in stmt.columns:
             default = None
             if cdef.default is not None:
-                default = evaluate(cdef.default, None, ())
+                default = _constant(cdef.default, ())
             columns.append(
                 Column(
                     name=cdef.name,
@@ -405,7 +380,7 @@ class Executor:
     def _execute_alter_add(self, stmt: AlterTableAddColumn) -> ResultSet:
         table = self.database.table(stmt.table)
         cdef = stmt.column
-        default = evaluate(cdef.default, None, ()) if cdef.default is not None else None
+        default = _constant(cdef.default, ()) if cdef.default is not None else None
         if cdef.not_null and default is None:
             raise OperationalError(
                 "cannot add a NOT NULL column without a default value"
@@ -566,30 +541,6 @@ class Executor:
             problems = self._integrity_check()
             rows = [(p,) for p in problems] if problems else [("ok",)]
             return ResultSet(["integrity_check"], rows)
-        if stmt.name == "compile":
-            argument = str(stmt.argument or "").strip().lower()
-            if argument in ("on", "1", "true"):
-                self.database.compile_enabled = True
-            elif argument in ("off", "0", "false"):
-                self.database.compile_enabled = False
-            elif argument == "status":
-                stats = self.database.stats
-                return ResultSet(
-                    ["key", "value"],
-                    [
-                        ("enabled", int(self.database.compile_enabled)),
-                        ("plan_cache_hits", stats["plan_cache_hits"]),
-                        ("plan_cache_misses", stats["plan_cache_misses"]),
-                        ("compile_fallbacks", stats["compile_fallbacks"]),
-                    ],
-                )
-            else:
-                raise ProgrammingError(
-                    f"PRAGMA compile expects on/off/status, got {stmt.argument!r}"
-                )
-            # on/off return no rows, matching sqlite's silent treatment of
-            # unknown pragmas, so differential corpora stay comparable.
-            return ResultSet([], [], rowcount=0)
         if stmt.name == "snapshot_isolation":
             return self._pragma_snapshot_isolation(stmt)
         if stmt.name == "columnar":
@@ -739,9 +690,11 @@ class Executor:
             _, select_rows = self._execute_select(stmt.select, params)
             source_rows = select_rows
         else:
+            plan = self._dml_plan(stmt, table)
+            self._fill_subqueries(plan.subqueries, params)
             source_rows = [
-                [evaluate(expr, None, params) for expr in row_exprs]
-                for row_exprs in stmt.rows
+                [fn(None, params, None) for fn in row_fns]
+                for row_fns in plan.values_fns
             ]
         for values in source_rows:
             if len(values) != len(positions):
@@ -822,10 +775,14 @@ class Executor:
                     database.insert(table, row)
                     count += 1
         else:
+            plan = self._dml_plan(stmt, table)
+            value_fns = plan.values_fns[0]
             for params in seq_of_params:
+                params = tuple(params)
+                self._fill_subqueries(plan.subqueries, params)
                 row = [OMITTED] * width
-                for position, expr in zip(positions, row_exprs):
-                    row[position] = evaluate(expr, None, tuple(params))
+                for position, fn in zip(positions, value_fns):
+                    row[position] = fn(None, params, None)
                 database.insert(table, row)
                 count += 1
         return ResultSet(
@@ -834,74 +791,31 @@ class Executor:
 
     def _execute_update(self, stmt: Update, params: Sequence[Any]) -> ResultSet:
         table = self.database.table(stmt.table)
-        where = self._materialize_subqueries(stmt.where, params)
-        plan = self._compiled_dml(stmt, table, is_update=True)
-        if plan is not None and plan.fallbacks:
-            self.database.stats["compile_fallbacks"] += plan.fallbacks
-            _COMPILE_FALLBACKS.inc(plan.fallbacks)
-        # Compiled WHERE only applies when subquery materialisation left
-        # the original expression untouched (the closures were built
-        # against it).
-        where_fn = (
-            plan.where_fn
-            if plan is not None and where is stmt.where else None
-        )
-        assign_fns = plan.assign_fns if plan is not None else None
-        context = (
-            _single_table_context(table)
-            if (where is not None and where_fn is None) or assign_fns is None
-            else None
-        )
-        if assign_fns is None:
-            assignments = [
-                (table.position_of(name), expr) for name, expr in stmt.assignments
-            ]
+        plan = self._dml_plan(stmt, table)
+        self._fill_subqueries(plan.subqueries, params)
+        where_fn = plan.where_fn
+        assign_fns = plan.assign_fns
         touched = []
         for rowid, row in list(table.scan()):
-            if context is not None:
-                context.bind(row)
-            if where is not None:
-                if where_fn is not None:
-                    if not truthy(where_fn(row, params, None)):
-                        continue
-                elif not truthy(evaluate(where, context, params)):
-                    continue
-            if assign_fns is not None:
-                new_values = {
-                    position: fn(row, params, None) for position, fn in assign_fns
-                }
-            else:
-                new_values = {
-                    position: evaluate(expr, context, params)
-                    for position, expr in assignments
-                }
-            touched.append((rowid, new_values))
+            if where_fn is not None and not truthy(where_fn(row, params, None)):
+                continue
+            touched.append((
+                rowid,
+                {position: fn(row, params, None) for position, fn in assign_fns},
+            ))
         for rowid, new_values in touched:
             self.database.update(table, rowid, new_values)
         return ResultSet([], [], rowcount=len(touched))
 
     def _execute_delete(self, stmt: Delete, params: Sequence[Any]) -> ResultSet:
         table = self.database.table(stmt.table)
-        where = self._materialize_subqueries(stmt.where, params)
-        plan = self._compiled_dml(stmt, table, is_update=False)
-        if plan is not None and plan.fallbacks:
-            self.database.stats["compile_fallbacks"] += plan.fallbacks
-            _COMPILE_FALLBACKS.inc(plan.fallbacks)
-        where_fn = (
-            plan.where_fn
-            if plan is not None and where is stmt.where else None
-        )
-        doomed = []
-        if where is not None and where_fn is not None:
-            for rowid, row in table.scan():
-                if truthy(where_fn(row, params, None)):
-                    doomed.append(rowid)
-        else:
-            context = _single_table_context(table)
-            for rowid, row in table.scan():
-                context.bind(row)
-                if where is None or truthy(evaluate(where, context, params)):
-                    doomed.append(rowid)
+        plan = self._dml_plan(stmt, table)
+        self._fill_subqueries(plan.subqueries, params)
+        where_fn = plan.where_fn
+        doomed = [
+            rowid for rowid, row in table.scan()
+            if where_fn is None or truthy(where_fn(row, params, None))
+        ]
         for rowid in doomed:
             self.database.delete(table, rowid)
         return ResultSet([], [], rowcount=len(doomed))
@@ -911,11 +825,11 @@ class Executor:
     def _execute_select(
         self, stmt: Select, params: Sequence[Any]
     ) -> tuple[list[str], list[tuple[Any, ...]]]:
-        columns, rows = self._execute_select_core(stmt, params)
+        columns, rows, plan = self._execute_select_core(stmt, params)
         node = stmt
         while node.compound is not None:
             op, rhs = node.compound
-            rhs_columns, rhs_rows = self._execute_select_core(rhs, params)
+            rhs_columns, rhs_rows, _ = self._execute_select_core(rhs, params)
             if len(rhs_columns) != len(columns):
                 raise ProgrammingError(
                     "SELECTs to the left and right of "
@@ -928,172 +842,83 @@ class Executor:
         if stmt.compound is not None and stmt.order_by:
             rows = _order_projected(rows, columns, stmt.order_by, params)
         if stmt.compound is not None:
-            rows = _apply_limit(rows, stmt, params)
+            rows = _apply_limit(rows, plan, params)
         return columns, rows
 
-    def _materialize_subqueries(
-        self, expr: Optional[Expression], params: Sequence[Any]
-    ) -> Optional[Expression]:
-        """Replace ``IN (SELECT ...)`` items with literal value lists.
-
-        Subqueries are uncorrelated by construction (the parser only
-        accepts them in IN lists), so one evaluation per statement is
-        both correct and efficient.
-
-        Identity-preserving: when the tree holds no subquery the input
-        expression is returned unchanged, so the caller's ``is`` check
-        (and with it statement-level plan caching) keeps working.
-        """
-        if expr is None:
-            return None
-        if not any(isinstance(node, Subquery) for node in walk(expr)):
-            return expr
-        if isinstance(expr, InList) and any(
-            isinstance(item, Subquery) for item in expr.items
-        ):
-            items: list[Expression] = []
-            for item in expr.items:
-                if isinstance(item, Subquery):
-                    columns, rows = self._execute_select(item.select, params)
-                    if len(columns) != 1:
-                        raise ProgrammingError(
-                            "IN subquery must return exactly one column"
-                        )
-                    items.extend(Literal(row[0]) for row in rows)
-                else:
-                    items.append(item)
-            return InList(
-                self._materialize_subqueries(expr.operand, params),  # type: ignore[arg-type]
-                items, expr.negated,
-            )
-        if isinstance(expr, BinaryOp):
-            return BinaryOp(
-                expr.op,
-                self._materialize_subqueries(expr.left, params),  # type: ignore[arg-type]
-                self._materialize_subqueries(expr.right, params),  # type: ignore[arg-type]
-            )
-        from .ast_nodes import UnaryOp as _UnaryOp
-        if isinstance(expr, _UnaryOp):
-            return _UnaryOp(
-                expr.op, self._materialize_subqueries(expr.operand, params)  # type: ignore[arg-type]
-            )
-        return expr
+    def _fill_subqueries(
+        self, cells: dict[int, SubqueryCell], params: Sequence[Any]
+    ) -> None:
+        """Run a plan's uncorrelated ``IN (SELECT ...)`` subqueries once
+        for this execution; the compiled closures read the cells."""
+        for cell in cells.values():
+            columns, rows = self._execute_select(cell.select, params)
+            if len(columns) != 1:
+                raise ProgrammingError("IN subquery must return exactly one column")
+            cell.values = [row[0] for row in rows]
 
     def _execute_select_core(
         self, stmt: Select, params: Sequence[Any]
-    ) -> tuple[list[str], list[tuple[Any, ...]]]:
-        if stmt.where is not None:
-            rewritten = self._materialize_subqueries(stmt.where, params)
-            if rewritten is not stmt.where:
-                copied = _copy_select_with_where(stmt, rewritten)
-                # Keep an EXPLAIN ANALYZE probe pointed at the statement
-                # actually executed (identity changes with the copy).
-                if self._probe is not None and self._probe.target is stmt:
-                    self._probe.target = copied
-                stmt = copied
+    ) -> tuple[list[str], list[tuple[Any, ...]], SelectPlan]:
+        plan = self._compiled_select(stmt)
+        self._fill_subqueries(plan.subqueries, params)
         if stmt.table is None:
-            return self._select_no_from(stmt, params)
-
-        cplan = self._compiled_select(stmt)
-        if cplan is not None and cplan.fallbacks:
-            self.database.stats["compile_fallbacks"] += cplan.fallbacks
-            _COMPILE_FALLBACKS.inc(cplan.fallbacks)
-        layout = cplan.layout if cplan is not None else _Layout.build(self.database, stmt)
+            columns, rows = self._select_no_from(plan, params)
+            return columns, rows, plan
 
         probe_active = self._probe is not None and self._probe.target is stmt
 
-        if cplan is not None and cplan.compact is not None and not probe_active:
-            compact_result = self._compact_select(stmt, cplan, params)
+        if plan.compact is not None and not probe_active:
+            compact_result = self._compact_select(stmt, plan, params)
             if compact_result is not None:
                 columns, projected = compact_result
                 if stmt.distinct:
                     projected = _distinct(projected)
                 if stmt.compound is None:
-                    projected = _apply_limit(projected, stmt, params)
-                return columns, projected
+                    projected = _apply_limit(projected, plan, params)
+                return columns, projected, plan
 
-        raw_rows, plan = self._produce_rows(stmt, layout, params, cplan)
+        raw_rows, access = self._produce_rows(stmt, plan, params)
 
-        if stmt.where is not None:
-            where_fn = cplan.where_fn if cplan is not None else None
-            if where_fn is not None:
-                raw_rows = (
-                    row for row in raw_rows
-                    if truthy(where_fn(row, params, None))
-                )
-            else:
-                context = RowContext(layout.resolution, layout.ambiguous)
-                where = stmt.where
-                raw_rows = (
-                    row for row in raw_rows
-                    if truthy(evaluate(where, context.bind(row), params))
-                )
+        where_fn = plan.where_fn
+        if where_fn is not None:
+            raw_rows = (
+                row for row in raw_rows if truthy(where_fn(row, params, None))
+            )
             if probe_active:
                 raw_rows = self._probe.wrap("where", raw_rows)
 
-        if cplan is not None:
-            is_grouped = cplan.is_grouped
-        else:
-            is_grouped = bool(stmt.group_by) or any(
-                contains_aggregate(item.expr) for item in stmt.items
-            ) or (stmt.having is not None and contains_aggregate(stmt.having))
-
-        if is_grouped:
-            if cplan is not None and cplan.grouped is not None:
-                columns, projected = self._grouped_select_compiled(
-                    stmt, cplan.columns, cplan.grouped, layout.total_width,
-                    raw_rows, params,
-                )
-            else:
-                columns, projected = self._grouped_select(stmt, layout, raw_rows, params)
-        else:
-            plain_compiled = (
-                cplan is not None and cplan.proj is not None
-                and (not stmt.order_by or cplan.order_compiled)
+        if plan.is_grouped:
+            columns, projected = self._grouped_rows(
+                stmt, plan.columns, plan.grouped, plan.layout.total_width,
+                raw_rows, params,
             )
-            if plain_compiled:
-                columns, projected = self._plain_select_compiled(
-                    stmt, cplan.columns, cplan.proj, cplan.order_specs,
-                    raw_rows, params, presorted=plan.ordered,
-                )
-            else:
-                columns, projected = self._plain_select(
-                    stmt, layout, raw_rows, params, presorted=plan.ordered
-                )
+        else:
+            columns, projected = self._plain_rows(
+                stmt, plan, raw_rows, params, presorted=access.ordered
+            )
 
         if stmt.distinct:
             projected = _distinct(projected)
 
         if stmt.compound is None:
-            # Ordering is handled inside _plain_select / _grouped_select so
+            # Ordering is handled inside _plain_rows / _grouped_rows so
             # sort keys can see pre-projection columns; only LIMIT remains.
-            projected = _apply_limit(projected, stmt, params)
-        return columns, projected
+            projected = _apply_limit(projected, plan, params)
+        return columns, projected, plan
 
     def _select_no_from(
-        self, stmt: Select, params: Sequence[Any]
+        self, plan: SelectPlan, params: Sequence[Any]
     ) -> tuple[list[str], list[tuple[Any, ...]]]:
         """``SELECT 1+1`` style computations."""
-        columns = []
-        values = []
-        for item in stmt.items:
-            if isinstance(item.expr, Star):
-                raise ProgrammingError("'*' requires a FROM clause")
-            columns.append(item.alias or ref_name(item.expr))
-            values.append(evaluate(item.expr, None, params))
-        rows = [tuple(values)]
-        if stmt.where is not None and not truthy(evaluate(stmt.where, None, params)):
+        rows = [tuple(fn(None, params, None) for fn in plan.proj)]
+        if plan.where_fn is not None and not truthy(plan.where_fn(None, params, None)):
             rows = []
-        return columns, rows
+        return plan.columns, rows
 
     # -- row production (FROM + JOIN with pushdown) ---------------------------
 
     def _produce_rows(
-        self,
-        stmt: Select,
-        layout: "_Layout",
-        params: Sequence[Any],
-        cplan: Optional[SelectPlan] = None,
+        self, stmt: Select, plan: SelectPlan, params: Sequence[Any]
     ) -> tuple[Iterator[list[Any]], "_AccessPlan"]:
         assert stmt.table is not None
         base = self.database.table(stmt.table.name)
@@ -1101,31 +926,26 @@ class Executor:
 
         conjuncts = _conjuncts(stmt.where) if not stmt.joins else []
         order_by = stmt.order_by if _can_push_order(stmt) else []
-        plan = _plan_access(
+        access = _plan_access(
             base, base_alias, conjuncts, order_by, params,
             _select_alias_names(stmt),
         )
-        rows = self._iter_plan(base, plan)
+        rows = self._iter_plan(base, access)
         probe = self._probe if (
             self._probe is not None and self._probe.target is stmt
         ) else None
         if probe is not None:
             rows = probe.wrap("scan", rows)
 
-        offset = len(base.columns)
+        total = plan.layout.total_width
         for i, join in enumerate(stmt.joins):
             inner_table = self.database.table(join.table.name)
-            jplan = (
-                cplan.joins[i]
-                if cplan is not None and i < len(cplan.joins) else None
-            )
             rows = self._join(
-                rows, offset, inner_table, join, layout, params, jplan
+                rows, inner_table, join.kind, total, params, plan.joins[i]
             )
             if probe is not None:
                 rows = probe.wrap(f"join{i}", rows)
-            offset += len(inner_table.columns)
-        return rows, plan
+        return rows, access
 
     def _iter_plan(
         self, table: Table, plan: "_AccessPlan"
@@ -1167,17 +987,15 @@ class Executor:
     def _join(
         self,
         left_rows: Iterator[list[Any]],
-        offset: int,
         inner: Table,
-        join: Join,
-        layout: "_Layout",
+        kind: str,
+        total: int,
         params: Sequence[Any],
-        jplan: Optional[JoinPlan] = None,
+        jplan: Optional[JoinPlan],
     ) -> Iterator[list[Any]]:
         inner_width = len(inner.columns)
-        condition = join.condition
 
-        if join.kind == "CROSS" or condition is None:
+        if jplan is None:  # CROSS JOIN, or a join without ON
             inner_rows = [list(r) for _, r in inner.scan()]
             for left in left_rows:
                 for inner_row in inner_rows:
@@ -1186,255 +1004,55 @@ class Executor:
                     yield combined
             return
 
-        probe_fn = jplan.probe if jplan is not None else None
-        build_fn = jplan.build if jplan is not None else None
-        cond_fn = jplan.condition if jplan is not None else None
-        context = (
-            None
-            if probe_fn is not None and build_fn is not None and cond_fn is not None
-            else RowContext(layout.resolution, layout.ambiguous)
-        )
-        total = layout.total_width
-
-        equi = _find_equi_key(condition, layout, offset, inner_width)
-        if equi is not None:
-            left_expr, right_positions_expr = equi
-            # Build hash table over the inner relation; the build key is
-            # compiled once per statement when the plan covers it.
+        cond_fn = jplan.condition
+        if jplan.probe is not None:
+            # Hash join: build a hash table over the inner relation.
+            probe_fn = jplan.probe
+            build_fn = jplan.build
             table_map: dict[Any, list[list[Any]]] = {}
-            if build_fn is not None:
-                for _rowid, inner_row in inner.scan():
-                    key = build_fn(inner_row, params, None)
-                    if key is None:
-                        continue
-                    table_map.setdefault(key, []).append(list(inner_row))
-            else:
-                inner_context = _single_table_context(inner, alias=join.table.effective_name)
-                for _rowid, inner_row in inner.scan():
-                    key = evaluate(right_positions_expr, inner_context.bind(inner_row), params)
-                    if key is None:
-                        continue
-                    table_map.setdefault(key, []).append(list(inner_row))
+            for _rowid, inner_row in inner.scan():
+                key = build_fn(inner_row, params, None)
+                if key is None:
+                    continue
+                table_map.setdefault(key, []).append(list(inner_row))
             for left in left_rows:
                 padded = left + [None] * (total - len(left))
-                if probe_fn is not None:
-                    key = probe_fn(padded, params, None)
-                else:
-                    key = evaluate(left_expr, context.bind(padded), params)
+                key = probe_fn(padded, params, None)
                 matches = table_map.get(key, []) if key is not None else []
                 emitted = False
                 for inner_row in matches:
                     combined = left + inner_row
                     combined += [None] * (total - len(combined))
-                    if cond_fn is not None:
-                        ok = truthy(cond_fn(combined, params, None))
-                    else:
-                        ok = truthy(evaluate(condition, context.bind(combined), params))
-                    if ok:
+                    if truthy(cond_fn(combined, params, None)):
                         emitted = True
                         yield combined[: len(left) + inner_width]
-                if not emitted and join.kind == "LEFT":
+                if not emitted and kind == "LEFT":
                     yield left + [None] * inner_width
             return
 
-        # Fallback: nested loop.
+        # No equi-join key: nested loop.
         inner_rows = [list(r) for _, r in inner.scan()]
         for left in left_rows:
             emitted = False
             for inner_row in inner_rows:
                 combined = left + inner_row
                 padded = combined + [None] * (total - len(combined))
-                if cond_fn is not None:
-                    ok = truthy(cond_fn(padded, params, None))
-                else:
-                    ok = truthy(evaluate(condition, context.bind(padded), params))
-                if ok:
+                if truthy(cond_fn(padded, params, None)):
                     emitted = True
                     yield combined
-            if not emitted and join.kind == "LEFT":
+            if not emitted and kind == "LEFT":
                 yield left + [None] * inner_width
 
-    # -- projection paths ---------------------------------------------------------
+    # -- planning (see compile.py) ----------------------------------------------
 
-    def _plain_select(
-        self,
-        stmt: Select,
-        layout: "_Layout",
-        raw_rows: Iterator[list[Any]],
-        params: Sequence[Any],
-        presorted: bool = False,
-    ) -> tuple[list[str], list[tuple[Any, ...]]]:
-        columns, exprs = _expand_items(stmt.items, layout)
-        context = RowContext(layout.resolution, layout.ambiguous)
-
-        # ``presorted`` rows arrive in ORDER BY order straight from an
-        # ordered index: skip the sort and stop early once LIMIT+OFFSET
-        # rows have been projected (the index stops producing rows too).
-        needs_order = bool(stmt.order_by) and stmt.compound is None and not presorted
-        row_cap = None
-        if presorted and stmt.limit is not None:
-            limit = evaluate(stmt.limit, None, params)
-            if limit is not None and int(limit) >= 0:
-                offset = (
-                    evaluate(stmt.offset, None, params)
-                    if stmt.offset is not None else 0
-                )
-                row_cap = int(limit) + int(offset or 0)
-        alias_map = {
-            (item.alias or "").lower(): item.expr
-            for item in stmt.items
-            if item.alias
-        }
-
-        projected: list[tuple[Any, ...]] = []
-        order_keys: list[tuple] = []
-        for row in raw_rows:
-            context.bind(row)
-            values = tuple(
-                row[e] if isinstance(e, int) else evaluate(e, context, params)
-                for e in exprs
-            )
-            if needs_order:
-                key = _order_key_for_row(
-                    stmt.order_by, context, params, alias_map, values, columns
-                )
-                order_keys.append(key)
-            projected.append(values)
-            if row_cap is not None and len(projected) >= row_cap:
-                break
-        if needs_order:
-            paired = sorted(zip(order_keys, range(len(projected))), key=lambda p: p[0])
-            projected = [projected[i] for _, i in paired]
-        return columns, projected
-
-    def _grouped_select(
-        self,
-        stmt: Select,
-        layout: "_Layout",
-        raw_rows: Iterator[list[Any]],
-        params: Sequence[Any],
-    ) -> tuple[list[str], list[tuple[Any, ...]]]:
-        columns, exprs = _expand_items(stmt.items, layout)
-        context = RowContext(layout.resolution, layout.ambiguous)
-
-        # GROUP BY may reference select-list aliases ("GROUP BY k") or
-        # ordinals ("GROUP BY 1"); substitute the aliased expression.
-        early_alias_map = {
-            (item.alias or "").lower(): item.expr for item in stmt.items if item.alias
-        }
-        group_by = [
-            _resolve_group_expr(g, early_alias_map, stmt.items) for g in stmt.group_by
-        ]
-        # HAVING may also reference select aliases ("HAVING c > 1").
-        having = (
-            _substitute_aliases(stmt.having, early_alias_map)
-            if stmt.having is not None
-            else None
-        )
-
-        # Collect every aggregate call appearing anywhere in the query.
-        agg_nodes: list[FunctionCall] = []
-        seen: set[int] = set()
-        scan_targets: list[Expression] = [item.expr for item in stmt.items]
-        if having is not None:
-            scan_targets.append(having)
-        for order in stmt.order_by:
-            scan_targets.append(order.expr)
-        for target in scan_targets:
-            for node in walk(target):
-                if is_aggregate_call(node):
-                    if id(node) not in seen:
-                        seen.add(id(node))
-                        agg_nodes.append(node)
-
-        groups: dict[tuple, _Group] = {}
-        group_order: list[tuple] = []
-        for row in raw_rows:
-            context.bind(row)
-            if group_by:
-                key = tuple(
-                    _hashable(evaluate(g, context, params)) for g in group_by
-                )
-            else:
-                key = ()
-            group = groups.get(key)
-            if group is None:
-                group = _Group(
-                    representative=list(row),
-                    accumulators=[
-                        (_make_distinct(node) if node.distinct else make_aggregate(node.name))
-                        for node in agg_nodes
-                    ],
-                )
-                groups[key] = group
-                group_order.append(key)
-            for node, acc in zip(agg_nodes, group.accumulators):
-                if node.args and not isinstance(node.args[0], Star):
-                    value = evaluate(node.args[0], context, params)
-                else:
-                    value = 1  # COUNT(*)
-                acc.step(value)
-
-        if not groups and not stmt.group_by:
-            # Aggregates over an empty relation still return one row.
-            groups[()] = _Group(
-                representative=[None] * layout.total_width,
-                accumulators=[
-                    (_make_distinct(node) if node.distinct else make_aggregate(node.name))
-                    for node in agg_nodes
-                ],
-            )
-            group_order.append(())
-
-        agg_index = {id(node): i for i, node in enumerate(agg_nodes)}
-        results: list[tuple[Any, ...]] = []
-        order_keys: list[tuple] = []
-        alias_map = {
-            (item.alias or "").lower(): item.expr for item in stmt.items if item.alias
-        }
-        for key in group_order:
-            group = groups[key]
-            agg_values = [acc.finalize() for acc in group.accumulators]
-            context.bind(group.representative)
-            evaluator = _AggregateEvaluator(context, params, agg_index, agg_values)
-            if having is not None and not truthy(evaluator.eval(having)):
-                continue
-            values = tuple(
-                group.representative[e] if isinstance(e, int) else evaluator.eval(e)
-                for e in exprs
-            )
-            if stmt.order_by:
-                order_key = []
-                for order in stmt.order_by:
-                    expr = _resolve_order_expr(order.expr, alias_map, values, columns)
-                    if isinstance(expr, int):
-                        value = values[expr]
-                    else:
-                        value = evaluator.eval(expr)
-                    k = sort_key(value)
-                    order_key.append(
-                        _Reversor(k) if order.descending else k
-                    )
-                order_keys.append(tuple(order_key))
-            results.append(values)
-        if stmt.order_by:
-            paired = sorted(zip(order_keys, range(len(results))), key=lambda p: p[0])
-            results = [results[i] for _, i in paired]
-        return columns, results
-
-    # -- compiled execution (see compile.py) ----------------------------------
-
-    def _compiled_select(self, stmt: Select) -> Optional[SelectPlan]:
+    def _compiled_select(self, stmt: Select) -> SelectPlan:
         """Fetch or build the compiled plan for a SELECT.
 
         Plans are cached on the Statement object itself, so their
         lifetime is the connection's LRU statement cache; validity is
         keyed on ``Database.schema_version`` (any DDL invalidates).
-        Returns None when ``PRAGMA compile off`` is in effect.
         """
         database = self.database
-        if not database.compile_enabled:
-            return None
         plan = getattr(stmt, "_msql_plan", None)
         if plan is not None and plan.schema_version == database.schema_version:
             database.stats["plan_cache_hits"] += 1
@@ -1449,85 +1067,66 @@ class Executor:
         return plan
 
     def _build_select_plan(self, stmt: Select) -> SelectPlan:
-        """Compile every section of a SELECT that the compiler covers.
+        """Compile every section of a SELECT.
 
-        Sections fail independently: a WHERE the compiler cannot lower
-        leaves ``where_fn`` as None (interpreted) while joins and the
-        projection may still run compiled.  Layout errors (unknown
-        table, duplicate alias) propagate — the interpreter raises them
-        at the same point.
+        Statement-level errors — unknown table, duplicate alias, ``*``
+        without FROM or naming an unknown table, a GROUP BY ordinal out
+        of range — raise here, at execute.  Name errors inside
+        expressions compile to closures that raise when they first run.
         """
-        database = self.database
-        layout = _Layout.build(database, stmt)
-        resolution = layout.resolution
+        subqueries: dict[int, SubqueryCell] = {}
+        no_row = Scope(None, subqueries=subqueries)
+        if stmt.table is None:
+            for item in stmt.items:
+                if isinstance(item.expr, Star):
+                    raise ProgrammingError("'*' requires a FROM clause")
+            exprs = [item.expr for item in stmt.items]
+            plan = SelectPlan(
+                schema_version=self.database.schema_version, layout=None,
+                columns=[item.alias or ref_name(item.expr) for item in stmt.items],
+                exprs=exprs,
+                where_fn=(
+                    compile_expr(stmt.where, no_row)
+                    if stmt.where is not None else None
+                ),
+                proj=[compile_expr(e, no_row) for e in exprs],
+                subqueries=subqueries,
+            )
+        else:
+            plan = self._build_table_plan(stmt, subqueries)
+        if stmt.limit is not None:
+            plan.limit_fn = compile_expr(stmt.limit, no_row)
+        if stmt.offset is not None:
+            plan.offset_fn = compile_expr(stmt.offset, no_row)
+        return plan
+
+    def _build_table_plan(
+        self, stmt: Select, subqueries: dict[int, SubqueryCell]
+    ) -> SelectPlan:
+        layout = _Layout.build(self.database, stmt)
+        scope = Scope(layout.resolution, layout.ambiguous, subqueries)
+        columns, exprs = _expand_items(stmt.items, layout)
         plan = SelectPlan(
-            schema_version=database.schema_version,
-            layout=layout, columns=None, exprs=None, where_fn=None,
+            schema_version=self.database.schema_version, layout=layout,
+            columns=columns, exprs=exprs, where_fn=None,
+            subqueries=subqueries,
         )
-        fallbacks = 0
         used: set[int] = set()
-
         if stmt.where is not None:
-            plan.where_fn = try_compile(stmt.where, resolution, None, used)
-            if plan.where_fn is None:
-                fallbacks += 1
-
-        offset = len(database.table(stmt.table.name).columns)
-        for join in stmt.joins:
-            inner_table = database.table(join.table.name)
-            jplan: Optional[JoinPlan] = None
-            if join.kind != "CROSS" and join.condition is not None:
-                cond_fn = try_compile(join.condition, resolution, None, used)
-                equi = _find_equi_key(
-                    join.condition, layout, offset, len(inner_table.columns)
-                )
-                if equi is not None:
-                    probe_fn = try_compile(equi[0], resolution, None, used)
-                    inner_resolution = _single_table_context(
-                        inner_table, alias=join.table.effective_name
-                    ).columns
-                    build_fn = try_compile(equi[1], inner_resolution)
-                    if cond_fn and probe_fn and build_fn:
-                        jplan = JoinPlan(probe_fn, build_fn, cond_fn)
-                elif cond_fn is not None:
-                    jplan = JoinPlan(None, None, cond_fn)
-                if jplan is None:
-                    fallbacks += 1
-            plan.joins.append(jplan)
-            offset += len(inner_table.columns)
-
-        try:
-            columns, exprs = _expand_items(stmt.items, layout)
-            plan.columns, plan.exprs = columns, exprs
-        except Exception:
-            columns = exprs = None
-
+            plan.where_fn = compile_expr(stmt.where, scope, None, used)
+        self._build_joins(stmt, plan, scope, used)
         plan.is_grouped = bool(stmt.group_by) or any(
             contains_aggregate(item.expr) for item in stmt.items
         ) or (stmt.having is not None and contains_aggregate(stmt.having))
-
-        if exprs is None:
-            fallbacks += 1
-        elif plan.is_grouped:
-            plan.grouped = self._build_group_plan(stmt, columns, exprs, resolution, used)
-            if plan.grouped is None:
-                fallbacks += 1
-        else:
-            proj, order_specs, order_ok = self._build_plain_plan(
-                stmt, columns, exprs, resolution, used
+        if plan.is_grouped:
+            plan.grouped = self._build_group_plan(
+                stmt, columns, exprs, scope, used
             )
-            if proj is not None and order_ok:
-                plan.proj = proj
-                plan.order_specs = order_specs
-                plan.order_compiled = bool(stmt.order_by)
-            else:
-                fallbacks += 1
-
-        plan.fallbacks = fallbacks
-        try:
-            plan.compact = self._build_compact(stmt, plan, used)
-        except Exception:
-            plan.compact = None
+        else:
+            plan.proj, plan.order_specs = self._build_plain_plan(
+                stmt, columns, exprs, scope, used
+            )
+        plan.compact = self._build_compact(stmt, plan, used)
         if plan.compact is not None:
             try:
                 plan.vector = self._build_vector(stmt, plan, used)
@@ -1535,19 +1134,48 @@ class Executor:
                 plan.vector = None
         return plan
 
+    def _build_joins(
+        self, stmt: Select, plan: SelectPlan, scope: Scope, used: set
+    ) -> None:
+        database = self.database
+        offset = len(database.table(stmt.table.name).columns)
+        for join in stmt.joins:
+            inner_table = database.table(join.table.name)
+            jplan: Optional[JoinPlan] = None
+            if join.kind != "CROSS" and join.condition is not None:
+                cond_fn = compile_expr(join.condition, scope, None, used)
+                equi = _find_equi_key(
+                    join.condition, plan.layout, offset, len(inner_table.columns)
+                )
+                if equi is None:
+                    jplan = JoinPlan(None, None, cond_fn)
+                else:
+                    inner_scope = Scope(
+                        _single_table_resolution(
+                            inner_table, alias=join.table.effective_name
+                        ),
+                        subqueries=scope.subqueries,
+                    )
+                    jplan = JoinPlan(
+                        compile_expr(equi[0], scope, None, used),
+                        compile_expr(equi[1], inner_scope),
+                        cond_fn,
+                    )
+            plan.joins.append(jplan)
+            offset += len(inner_table.columns)
+
     def _build_plain_plan(
         self,
         stmt: Select,
         columns: list[str],
         exprs: list[Any],
-        resolution: dict[str, int],
+        scope: Scope,
         used: Optional[set],
         remap: Optional[dict[int, int]] = None,
-    ) -> tuple[Optional[list[Any]], Optional[list[tuple[Any, bool]]], bool]:
+    ) -> tuple[list[Any], Optional[list[tuple[Any, bool]]]]:
         """Compile projection + ORDER BY for a non-grouped select.
 
-        Returns (proj, order_specs, order_ok); (None, None, False) means
-        the section stays interpreted.  ``remap`` translates star-column
+        Returns (proj, order_specs).  ``remap`` translates star-column
         row positions when compiling against a compacted row shape.
         """
         proj: list[Any] = []
@@ -1558,159 +1186,101 @@ class Executor:
                     used.add(e)
                 proj.append(position)
             else:
-                fn = try_compile(e, resolution, None, used)
-                if fn is None:
-                    return None, None, False
-                proj.append(fn)
+                proj.append(compile_expr(e, scope, None, used))
         if not stmt.order_by:
-            return proj, None, True
-        alias_map = {
-            (item.alias or "").lower(): item.expr
-            for item in stmt.items if item.alias
-        }
+            return proj, None
+        alias_map = _alias_map(stmt)
         lowered = [c.lower() for c in columns]
-        dummy_values = tuple(columns)  # only its length matters here
         order_specs: list[tuple[Any, bool]] = []
         for order in stmt.order_by:
-            try:
-                resolved = _resolve_order_expr(
-                    order.expr, alias_map, dummy_values, columns
-                )
-            except ProgrammingError:
-                # Out-of-range ordinal: raised per row by the interpreter,
-                # so an empty relation must not raise.  Stay interpreted.
-                return None, None, False
-            if isinstance(resolved, int):
-                order_specs.append((resolved, bool(order.descending)))
-                continue
-            fn = try_compile(resolved, resolution, None, used)
-            if fn is None:
-                # Mirror _order_key_for_row: an unresolvable bare column
-                # ref falls back to the projected column of that name.
-                if (
-                    isinstance(resolved, ColumnRef)
-                    and resolved.name.lower() in lowered
-                ):
-                    order_specs.append(
-                        (lowered.index(resolved.name.lower()), bool(order.descending))
-                    )
-                    continue
-                return None, None, False
-            order_specs.append((fn, bool(order.descending)))
-        return proj, order_specs, True
+            resolved = _resolve_order_expr(order.expr, alias_map, columns)
+            if (
+                isinstance(resolved, ColumnRef)
+                and resolved.qualified.lower() not in scope.resolution
+                and resolved.name.lower() in lowered
+            ):
+                # An unresolvable column name falls back to the projected
+                # column of that name.
+                resolved = lowered.index(resolved.name.lower())
+            if isinstance(resolved, Expression):
+                resolved = compile_expr(resolved, scope, None, used)
+            order_specs.append((resolved, bool(order.descending)))
+        return proj, order_specs
 
     def _build_group_plan(
         self,
         stmt: Select,
         columns: list[str],
         exprs: list[Any],
-        resolution: dict[str, int],
+        scope: Scope,
         used: Optional[set],
         remap: Optional[dict[int, int]] = None,
-    ) -> Optional[GroupPlan]:
-        """Compile hash aggregation end to end, or None for interpreter.
-
-        All-or-nothing: the grouped pipeline shares one representative
-        row and one aggregate value table, so mixing compiled and
-        interpreted pieces is not worth the bookkeeping.
-        """
-        try:
-            early_alias_map = {
-                (item.alias or "").lower(): item.expr
-                for item in stmt.items if item.alias
-            }
-            group_by = [
-                _resolve_group_expr(g, early_alias_map, stmt.items)
-                for g in stmt.group_by
-            ]
-            having = (
-                _substitute_aliases(stmt.having, early_alias_map)
-                if stmt.having is not None else None
-            )
-            # Aggregate call sites, id-deduplicated in the same walk order
-            # as the interpreter so DISTINCT wrapping matches.
-            agg_nodes: list[FunctionCall] = []
-            seen: set[int] = set()
-            scan_targets: list[Expression] = [item.expr for item in stmt.items]
-            if having is not None:
-                scan_targets.append(having)
+    ) -> GroupPlan:
+        """Compile hash aggregation end to end."""
+        early_alias_map = _alias_map(stmt)
+        group_by = [
+            _resolve_group_expr(g, early_alias_map, stmt.items)
+            for g in stmt.group_by
+        ]
+        having = (
+            _substitute_aliases(stmt.having, early_alias_map)
+            if stmt.having is not None else None
+        )
+        agg_nodes = _aggregate_nodes(stmt, having)
+        group_fns = [compile_expr(g, scope, None, used) for g in group_by]
+        arg_fns: list[Optional[Any]] = []
+        for node in agg_nodes:
+            if node.args and not isinstance(node.args[0], Star):
+                arg_fns.append(compile_expr(node.args[0], scope, None, used))
+            else:
+                arg_fns.append(None)  # COUNT(*)
+        acc_factories = [
+            (lambda n=node: _make_distinct(n)) if node.distinct
+            else (lambda name=node.name: make_aggregate(name))
+            for node in agg_nodes
+        ]
+        agg_slots = {id(node): i for i, node in enumerate(agg_nodes)}
+        having_fn = (
+            compile_expr(having, scope, agg_slots, used)
+            if having is not None else None
+        )
+        item_slots: list[Any] = []
+        for e in exprs:
+            if isinstance(e, int):
+                position = remap[e] if remap is not None else e
+                if used is not None:
+                    used.add(e)
+                item_slots.append(position)
+            else:
+                item_slots.append(compile_expr(e, scope, agg_slots, used))
+        order_specs: Optional[list[tuple[Any, bool]]] = None
+        if stmt.order_by:
+            order_specs = []
             for order in stmt.order_by:
-                scan_targets.append(order.expr)
-            for target in scan_targets:
-                for node in walk(target):
-                    if is_aggregate_call(node) and id(node) not in seen:
-                        seen.add(id(node))
-                        agg_nodes.append(node)
-
-            group_fns = [compile_expr(g, resolution, None, used) for g in group_by]
-            arg_fns: list[Optional[Any]] = []
-            for node in agg_nodes:
-                if node.args and not isinstance(node.args[0], Star):
-                    arg_fns.append(compile_expr(node.args[0], resolution, None, used))
-                else:
-                    arg_fns.append(None)  # COUNT(*)
-            acc_factories = [
-                (lambda n=node: _make_distinct(n)) if node.distinct
-                else (lambda name=node.name: make_aggregate(name))
-                for node in agg_nodes
-            ]
-            agg_slots = {id(node): i for i, node in enumerate(agg_nodes)}
-            having_fn = (
-                compile_expr(having, resolution, agg_slots, used)
-                if having is not None else None
-            )
-            item_slots: list[Any] = []
-            for e in exprs:
-                if isinstance(e, int):
-                    position = remap[e] if remap is not None else e
-                    if used is not None:
-                        used.add(e)
-                    item_slots.append(position)
-                else:
-                    item_slots.append(compile_expr(e, resolution, agg_slots, used))
-            order_specs: Optional[list[tuple[Any, bool]]] = None
-            if stmt.order_by:
-                dummy_values = tuple(columns)
-                order_specs = []
-                for order in stmt.order_by:
-                    resolved = _resolve_order_expr(
-                        order.expr, early_alias_map, dummy_values, columns
-                    )
-                    if isinstance(resolved, int):
-                        order_specs.append((resolved, bool(order.descending)))
-                    else:
-                        order_specs.append((
-                            compile_expr(resolved, resolution, agg_slots, used),
-                            bool(order.descending),
-                        ))
-            return GroupPlan(
-                group_fns, acc_factories, arg_fns, having_fn, item_slots,
-                order_specs,
-            )
-        except Exception:
-            return None
+                resolved = _resolve_order_expr(
+                    order.expr, early_alias_map, columns
+                )
+                if isinstance(resolved, Expression):
+                    resolved = compile_expr(resolved, scope, agg_slots, used)
+                order_specs.append((resolved, bool(order.descending)))
+        return GroupPlan(
+            group_fns, acc_factories, arg_fns, having_fn, item_slots,
+            order_specs,
+        )
 
     def _build_compact(
         self, stmt: Select, plan: SelectPlan, used: set
     ) -> Optional[CompactPlan]:
         """Projection-pushdown variant for single-table full scans.
 
-        When the fully-compiled statement touches a strict subset of the
-        table's columns, recompile its closures against the compacted
-        tuple shape ``Table.scan_batches(positions=...)`` yields; when it
+        When the statement touches a strict subset of the table's
+        columns, recompile its closures against the compacted tuple
+        shape ``Table.scan_batches(positions=...)`` yields; when it
         touches every column (or none — e.g. COUNT(*)), reuse the full
         closures over the raw stored rows (zero copies either way).
         """
-        if stmt.joins or stmt.table is None or plan.columns is None:
+        if stmt.joins:
             return None
-        if stmt.where is not None and plan.where_fn is None:
-            return None
-        if plan.is_grouped:
-            if plan.grouped is None:
-                return None
-        else:
-            if plan.proj is None or (stmt.order_by and not plan.order_compiled):
-                return None
         total = plan.layout.total_width
         if not used or len(used) >= total:
             return CompactPlan(
@@ -1718,27 +1288,26 @@ class Executor:
             )
         positions = tuple(sorted(used))
         remap = {p: i for i, p in enumerate(positions)}
-        compact_resolution = {
-            key: remap[pos]
-            for key, pos in plan.layout.resolution.items()
-            if pos in remap
-        }
+        scope = Scope(
+            {
+                key: remap[pos]
+                for key, pos in plan.layout.resolution.items()
+                if pos in remap
+            },
+            subqueries=plan.subqueries,
+        )
         where_fn = (
-            compile_expr(stmt.where, compact_resolution)
+            compile_expr(stmt.where, scope)
             if stmt.where is not None else None
         )
         if plan.is_grouped:
             grouped = self._build_group_plan(
-                stmt, plan.columns, plan.exprs, compact_resolution, None, remap
+                stmt, plan.columns, plan.exprs, scope, None, remap
             )
-            if grouped is None:
-                return None
             return CompactPlan(positions, where_fn, grouped, None, None)
-        proj, order_specs, order_ok = self._build_plain_plan(
-            stmt, plan.columns, plan.exprs, compact_resolution, None, remap
+        proj, order_specs = self._build_plain_plan(
+            stmt, plan.columns, plan.exprs, scope, None, remap
         )
-        if proj is None or not order_ok:
-            return None
         return CompactPlan(positions, where_fn, None, proj, order_specs)
 
     def _build_vector(
@@ -1784,32 +1353,17 @@ class Executor:
             if stmt.group_by:
                 return None
             gp = self._build_group_plan(
-                stmt, plan.columns, plan.exprs, resolution, None, remap
+                stmt, plan.columns, plan.exprs,
+                Scope(resolution, subqueries=plan.subqueries), None, remap,
             )
-            if gp is None:
-                return None
-            # Replicate _build_group_plan's aggregate-site walk so the
+            # The same aggregate-site walk as _build_group_plan, so the
             # spec list aligns index-for-index with gp.acc_factories.
-            early_alias_map = {
-                (item.alias or "").lower(): item.expr
-                for item in stmt.items if item.alias
-            }
+            alias_map = _alias_map(stmt)
             having = (
-                _substitute_aliases(stmt.having, early_alias_map)
+                _substitute_aliases(stmt.having, alias_map)
                 if stmt.having is not None else None
             )
-            agg_nodes: list[FunctionCall] = []
-            seen: set[int] = set()
-            scan_targets: list[Expression] = [item.expr for item in stmt.items]
-            if having is not None:
-                scan_targets.append(having)
-            for order in stmt.order_by:
-                scan_targets.append(order.expr)
-            for target in scan_targets:
-                for node in walk(target):
-                    if is_aggregate_call(node) and id(node) not in seen:
-                        seen.add(id(node))
-                        agg_nodes.append(node)
+            agg_nodes = _aggregate_nodes(stmt, having)
             aggs: list[tuple[str, bool, bool, Any]] = []
             for node in agg_nodes:
                 star = not node.args or isinstance(node.args[0], Star)
@@ -1842,26 +1396,19 @@ class Executor:
                 items.append(out[0])
         order: Optional[list[tuple[Any, bool]]] = None
         if stmt.order_by:
-            alias_map = {
-                (item.alias or "").lower(): item.expr
-                for item in stmt.items if item.alias
-            }
+            alias_map = _alias_map(stmt)
             lowered = [c.lower() for c in plan.columns]
-            dummy_values = tuple(plan.columns)
             order = []
             for o in stmt.order_by:
-                try:
-                    resolved = _resolve_order_expr(
-                        o.expr, alias_map, dummy_values, plan.columns
-                    )
-                except ProgrammingError:
-                    return None
+                resolved = _resolve_order_expr(o.expr, alias_map, plan.columns)
+                if not isinstance(resolved, (int, Expression)):
+                    return None  # ordinal out of range: the row path raises
                 if isinstance(resolved, int):
                     order.append((resolved, bool(o.descending)))
                     continue
                 out = try_vcompile(resolved, resolution, purities, checked)
                 if out is None:
-                    # Same bare-name fallback as _build_plain_plan.
+                    # The bare-name fallback of _build_plain_plan.
                     if (
                         isinstance(resolved, ColumnRef)
                         and resolved.name.lower() in lowered
@@ -1886,7 +1433,7 @@ class Executor:
     ) -> Optional[tuple[list[str], list[tuple[Any, ...]]]]:
         """Run the vector plan, or None to fall back (atomic contract:
         impure column, empty relation, or any mid-flight error routes the
-        whole statement to the compact/row path, which reproduces errors
+        whole statement to the compact row path, which reproduces errors
         with canonical per-row semantics)."""
         vp = plan.vector
         n = table.live_count
@@ -1963,8 +1510,8 @@ class Executor:
         builtins over the selected values — each proven equivalent to its
         accumulator's step/finalize sequence; everything else feeds the
         row accumulator from the vectorized argument column.  HAVING and
-        the projection reuse the PR 5 closures over the one representative
-        row, exactly like _grouped_select_compiled's single-group tail.
+        the projection reuse the row closures over the one representative
+        row, exactly like _grouped_rows' single-group tail.
         """
         gp = vp.grouped
         n_sel = n if sel is None else len(sel)
@@ -2091,7 +1638,7 @@ class Executor:
                 len(compact.positions)
                 if compact.positions is not None else plan.layout.total_width
             )
-            return self._grouped_select_compiled(
+            return self._grouped_rows(
                 stmt, plan.columns, compact.grouped, width, filtered(), params
             )
 
@@ -2126,28 +1673,26 @@ class Executor:
             projected = [projected[i] for _, i in paired]
         return plan.columns, projected
 
-    def _plain_select_compiled(
+    def _plain_rows(
         self,
         stmt: Select,
-        columns: list[str],
-        proj: list[Any],
-        order_specs: Optional[list[tuple[Any, bool]]],
+        plan: SelectPlan,
         raw_rows: Iterator[list[Any]],
         params: Sequence[Any],
         presorted: bool = False,
     ) -> tuple[list[str], list[tuple[Any, ...]]]:
-        """_plain_select with every per-row evaluation pre-compiled."""
+        """Project (and sort) the rows of a non-grouped select."""
+        # ``presorted`` rows arrive in ORDER BY order straight from an
+        # ordered index: skip the sort and stop early once LIMIT+OFFSET
+        # rows have been projected (the index stops producing rows too).
         needs_order = bool(stmt.order_by) and stmt.compound is None and not presorted
         row_cap = None
-        if presorted and stmt.limit is not None:
-            limit = evaluate(stmt.limit, None, params)
-            if limit is not None and int(limit) >= 0:
-                offset = (
-                    evaluate(stmt.offset, None, params)
-                    if stmt.offset is not None else 0
-                )
-                row_cap = int(limit) + int(offset or 0)
-        specs = order_specs if needs_order else None
+        if presorted:
+            window = _limit_window(plan, params)
+            if window is not None and window[0] >= 0:
+                row_cap = window[0] + window[1]
+        proj = plan.proj
+        specs = plan.order_specs if needs_order else None
         projected: list[tuple[Any, ...]] = []
         order_keys: list[tuple] = []
         for row in raw_rows:
@@ -2173,9 +1718,9 @@ class Executor:
                 zip(order_keys, range(len(projected))), key=lambda p: p[0]
             )
             projected = [projected[i] for _, i in paired]
-        return columns, projected
+        return plan.columns, projected
 
-    def _grouped_select_compiled(
+    def _grouped_rows(
         self,
         stmt: Select,
         columns: list[str],
@@ -2184,8 +1729,8 @@ class Executor:
         raw_rows: Iterator[Sequence[Any]],
         params: Sequence[Any],
     ) -> tuple[list[str], list[tuple[Any, ...]]]:
-        """_grouped_select with group keys, aggregate arguments, HAVING
-        and post-aggregation projection pre-compiled."""
+        """Hash-aggregate rows: group keys, aggregate arguments, HAVING,
+        and the post-aggregation projection and sort."""
         group_fns = gp.group_fns
         arg_fns = gp.arg_fns
         factories = gp.acc_factories
@@ -2240,37 +1785,33 @@ class Executor:
             results = [results[i] for _, i in paired]
         return columns, results
 
-    def _compiled_dml(
-        self, stmt: Statement, table: Table, is_update: bool
-    ) -> Optional[DMLPlan]:
-        """Plan cache for UPDATE/DELETE WHERE and SET closures."""
+    def _dml_plan(self, stmt: Statement, table: Table) -> DMLPlan:
+        """Plan cache for INSERT VALUES, UPDATE and DELETE closures."""
         database = self.database
-        if not database.compile_enabled:
-            return None
         plan = getattr(stmt, "_msql_plan", None)
         if plan is not None and plan.schema_version == database.schema_version:
             database.stats["plan_cache_hits"] += 1
             _PLAN_HITS.inc()
             return plan
         t0 = time.perf_counter()
-        resolution = _single_table_context(table).columns
-        fallbacks = 0
-        where_fn = None
-        if stmt.where is not None:
-            where_fn = try_compile(stmt.where, resolution)
-            if where_fn is None:
-                fallbacks += 1
-        assign_fns: Optional[list[tuple[int, Any]]] = None
-        if is_update:
-            assign_fns = []
-            for name, expr in stmt.assignments:
-                fn = try_compile(expr, resolution)
-                if fn is None:
-                    assign_fns = None
-                    fallbacks += 1
-                    break
-                assign_fns.append((table.position_of(name), fn))
-        plan = DMLPlan(database.schema_version, where_fn, assign_fns, fallbacks)
+        plan = DMLPlan(database.schema_version)
+        if isinstance(stmt, Insert):
+            scope = Scope(None, subqueries=plan.subqueries)
+            plan.values_fns = [
+                [compile_expr(expr, scope) for expr in row_exprs]
+                for row_exprs in stmt.rows
+            ]
+        else:
+            scope = Scope(
+                _single_table_resolution(table), subqueries=plan.subqueries
+            )
+            if stmt.where is not None:
+                plan.where_fn = compile_expr(stmt.where, scope)
+            if isinstance(stmt, Update):
+                plan.assign_fns = [
+                    (table.position_of(name), compile_expr(expr, scope))
+                    for name, expr in stmt.assignments
+                ]
         _COMPILE_SECONDS.observe(time.perf_counter() - t0)
         database.stats["plan_cache_misses"] += 1
         _PLAN_MISSES.inc()
@@ -2281,12 +1822,6 @@ class Executor:
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Group:
-    representative: list[Any]
-    accumulators: list[Any]
 
 
 class _DistinctWrapper:
@@ -2327,68 +1862,6 @@ class _Reversor:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _Reversor) and other.value == self.value
-
-
-class _AggregateEvaluator:
-    """Evaluates expressions where aggregate sub-trees are precomputed."""
-
-    def __init__(self, context, params, agg_index: dict[int, int], agg_values: list[Any]):
-        self.context = context
-        self.params = params
-        self.agg_index = agg_index
-        self.agg_values = agg_values
-
-    def eval(self, expr: Expression) -> Any:
-        rewritten = self._rewrite(expr)
-        return evaluate(rewritten, self.context, self.params)
-
-    def _rewrite(self, expr: Expression) -> Expression:
-        index = self.agg_index.get(id(expr))
-        if index is not None:
-            return Literal(self.agg_values[index])
-        # Shallow-copy nodes with rewritten children.
-        import copy
-        from . import ast_nodes as n
-
-        if isinstance(expr, n.BinaryOp):
-            return n.BinaryOp(expr.op, self._rewrite(expr.left), self._rewrite(expr.right))
-        if isinstance(expr, n.UnaryOp):
-            return n.UnaryOp(expr.op, self._rewrite(expr.operand))
-        if isinstance(expr, n.IsNull):
-            return n.IsNull(self._rewrite(expr.operand), expr.negated)
-        if isinstance(expr, n.InList):
-            return n.InList(
-                self._rewrite(expr.operand),
-                [self._rewrite(i) for i in expr.items],
-                expr.negated,
-            )
-        if isinstance(expr, n.Between):
-            return n.Between(
-                self._rewrite(expr.operand), self._rewrite(expr.low),
-                self._rewrite(expr.high), expr.negated,
-            )
-        if isinstance(expr, n.Like):
-            return n.Like(
-                self._rewrite(expr.operand), self._rewrite(expr.pattern), expr.negated
-            )
-        if isinstance(expr, n.FunctionCall):
-            if is_aggregate(expr.name):
-                # aggregate not in index — e.g. nested aggregates
-                raise ProgrammingError(
-                    f"misuse of aggregate function {expr.name}()"
-                )
-            return n.FunctionCall(
-                expr.name, [self._rewrite(a) for a in expr.args], expr.distinct
-            )
-        if isinstance(expr, n.CaseExpr):
-            return n.CaseExpr(
-                self._rewrite(expr.operand) if expr.operand else None,
-                [(self._rewrite(c), self._rewrite(r)) for c, r in expr.whens],
-                self._rewrite(expr.default) if expr.default else None,
-            )
-        if isinstance(expr, n.CastExpr):
-            return n.CastExpr(self._rewrite(expr.operand), expr.target_type)
-        return expr
 
 
 class _Layout:
@@ -2466,14 +1939,46 @@ def _expand_items(
     return columns, exprs
 
 
-def _single_table_context(table: Table, alias: Optional[str] = None) -> RowContext:
+def _single_table_resolution(
+    table: Table, alias: Optional[str] = None
+) -> dict[str, int]:
+    """Column resolution for expressions over one table's own rows."""
     mapping: dict[str, int] = {}
     names = (alias or table.name).lower()
     for i, column in enumerate(table.columns):
         mapping[column.lower_name] = i
         mapping[f"{names}.{column.lower_name}"] = i
         mapping[f"{table.name.lower()}.{column.lower_name}"] = i
-    return RowContext(mapping)
+    return mapping
+
+
+def _alias_map(stmt: Select) -> dict[str, Expression]:
+    """Select-list aliases (lowered) -> their expressions."""
+    return {item.alias.lower(): item.expr for item in stmt.items if item.alias}
+
+
+def _aggregate_nodes(
+    stmt: Select, having: Optional[Expression]
+) -> list[FunctionCall]:
+    """Aggregate call sites of a grouped select, id-deduplicated, in walk
+    order over the select list, HAVING (aliases substituted) and ORDER BY."""
+    targets: list[Expression] = [item.expr for item in stmt.items]
+    if having is not None:
+        targets.append(having)
+    targets.extend(order.expr for order in stmt.order_by)
+    nodes: list[FunctionCall] = []
+    seen: set[int] = set()
+    for target in targets:
+        for node in walk(target):
+            if is_aggregate_call(node) and id(node) not in seen:
+                seen.add(id(node))
+                nodes.append(node)
+    return nodes
+
+
+def _constant(expr: Expression, params: Sequence[Any]) -> Any:
+    """Value of an expression that needs no row (DEFAULT, planner keys)."""
+    return compile_expr(expr, NO_ROW)(None, params, None)
 
 
 def _conjuncts(expr: Optional[Expression]) -> list[Expression]:
@@ -2580,7 +2085,7 @@ def _pinned_eq(
                 continue
             if not table.has_column(col_side.name):
                 continue
-            value = evaluate(const_side, None, params)
+            value = _constant(const_side, params)
             if value is None:
                 continue
             pinned[col_side.name.lower()] = value
@@ -2634,7 +2139,7 @@ def _range_bounds(
     def constant_of(expr: Expression) -> Any:
         if not isinstance(expr, (Literal, Placeholder)):
             return None
-        return evaluate(expr, None, params)
+        return _constant(expr, params)
 
     bounds: dict[str, list[Optional[tuple[Any, bool]]]] = {}
 
@@ -2912,19 +2417,6 @@ def _apply_compound(
     raise NotSupportedError(f"unsupported compound operator {op}")
 
 
-def _copy_select_with_where(stmt: Select, where: Optional[Expression]) -> Select:
-    """Shallow copy of a Select with a different WHERE (cached statements
-    must never be mutated)."""
-    import copy
-
-    clone = copy.copy(stmt)
-    clone.where = where
-    # The copied __dict__ may carry the original's compiled plan, whose
-    # where_fn was built for the *old* WHERE — never reuse it.
-    clone.__dict__.pop("_msql_plan", None)
-    return clone
-
-
 def _substitute_aliases(
     expr: Expression, alias_map: dict[str, Expression]
 ) -> Expression:
@@ -2993,17 +2485,18 @@ def _resolve_group_expr(
 def _resolve_order_expr(
     expr: Expression,
     alias_map: dict[str, Expression],
-    values: tuple[Any, ...],
     columns: list[str],
 ) -> Any:
     """Resolve ORDER BY ordinals and select-list aliases.
 
-    Returns an int (index into the projected row) or the expression itself.
+    Returns an int (index into the projected row), the expression
+    itself, or — for an ordinal out of range — a closure that raises
+    when the first row is sorted.
     """
     if isinstance(expr, Literal) and isinstance(expr.value, int):
         ordinal = expr.value
-        if not 1 <= ordinal <= len(values):
-            raise ProgrammingError(f"ORDER BY position {ordinal} out of range")
+        if not 1 <= ordinal <= len(columns):
+            return failing(f"ORDER BY position {ordinal} out of range")
         return ordinal - 1
     if isinstance(expr, ColumnRef) and expr.table is None:
         key = expr.name.lower()
@@ -3013,38 +2506,6 @@ def _resolve_order_expr(
                 return lowered.index(key)
             return alias_map[key]
     return expr
-
-
-def _order_key_for_row(
-    order_by: list[OrderItem],
-    context: RowContext,
-    params: Sequence[Any],
-    alias_map: dict[str, Expression],
-    values: tuple[Any, ...],
-    columns: list[str],
-) -> tuple:
-    key = []
-    for order in order_by:
-        resolved = _resolve_order_expr(order.expr, alias_map, values, columns)
-        if isinstance(resolved, int):
-            value = values[resolved]
-        else:
-            try:
-                value = evaluate(resolved, context, params)
-            except ProgrammingError:
-                # Fall back to a projected column with that name.
-                if isinstance(resolved, ColumnRef):
-                    lowered = [c.lower() for c in columns]
-                    name = resolved.name.lower()
-                    if name in lowered:
-                        value = values[lowered.index(name)]
-                    else:
-                        raise
-                else:
-                    raise
-        k = sort_key(value)
-        key.append(_Reversor(k) if order.descending else k)
-    return tuple(key)
 
 
 def _order_projected(
@@ -3078,18 +2539,26 @@ def _order_projected(
     return sorted(rows, key=key_fn)
 
 
+def _limit_window(
+    plan: SelectPlan, params: Sequence[Any]
+) -> Optional[tuple[int, int]]:
+    """(limit, offset) from the plan's LIMIT/OFFSET closures, or None
+    without a LIMIT; a negative limit means "no limit"."""
+    if plan.limit_fn is None:
+        return None
+    limit = plan.limit_fn(None, params, None)
+    offset = plan.offset_fn(None, params, None) if plan.offset_fn is not None else 0
+    return (-1 if limit is None else int(limit)), int(offset or 0)
+
+
 def _apply_limit(
-    rows: list[tuple[Any, ...]], stmt: Select, params: Sequence[Any]
+    rows: list[tuple[Any, ...]], plan: SelectPlan, params: Sequence[Any]
 ) -> list[tuple[Any, ...]]:
-    if stmt.limit is None:
-        return rows if isinstance(rows, list) else list(rows)
-    limit = evaluate(stmt.limit, None, params)
-    offset = evaluate(stmt.offset, None, params) if stmt.offset is not None else 0
-    if limit is None:
-        limit = -1
-    limit = int(limit)
-    offset = int(offset or 0)
     rows = rows if isinstance(rows, list) else list(rows)
+    window = _limit_window(plan, params)
+    if window is None:
+        return rows
+    limit, offset = window
     if limit < 0:
         return rows[offset:]
     return rows[offset : offset + limit]

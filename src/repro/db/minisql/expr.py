@@ -1,113 +1,21 @@
-"""Expression evaluation for MiniSQL.
+"""Expression helpers shared by MiniSQL's compiler and planner.
 
-The evaluator works against a *row context*: a mapping from column keys
-to values.  Keys are stored in three forms so unqualified, qualified and
-alias references all resolve: ``name``, ``table.name``.  Ambiguous
-unqualified names (same column in two joined tables) raise
-``ProgrammingError`` at bind time, matching real engines.
-
-Three-valued logic: SQL NULL propagates through comparisons and
-arithmetic; ``AND``/``OR`` follow Kleene logic (NULL AND FALSE = FALSE).
+Evaluation itself lives in :mod:`~repro.db.minisql.compile`, which
+lowers every expression to a closure.  This module keeps what both the
+compiler and the executor's planner need: result-column naming, SQL
+truth, the LIKE and numeric-string coercion helpers, and tree walks.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any
 
 from .ast_nodes import (
     Between, BinaryOp, CaseExpr, CastExpr, ColumnRef, Expression,
     FunctionCall, InList, IsNull, Like, Literal, Placeholder, Star, UnaryOp,
 )
-from .errors import DataError, ProgrammingError
-from .functions import call_scalar, is_aggregate
-from .types import cast_value
-
-
-class RowContext:
-    """Resolves column references against the current row.
-
-    ``columns`` maps *resolution keys* to positions in the row tuple.
-    A key is either ``"name"`` (if unambiguous) or ``"table.name"``.
-    """
-
-    __slots__ = ("columns", "row", "ambiguous")
-
-    def __init__(self, columns: Mapping[str, int], ambiguous: frozenset[str] = frozenset()):
-        self.columns = columns
-        self.ambiguous = ambiguous
-        self.row: Sequence[Any] = ()
-
-    def bind(self, row: Sequence[Any]) -> "RowContext":
-        self.row = row
-        return self
-
-    def resolve(self, ref: ColumnRef) -> int:
-        key = ref.qualified.lower()
-        try:
-            return self.columns[key]
-        except KeyError:
-            pass
-        if ref.table is None and ref.name.lower() in self.ambiguous:
-            raise ProgrammingError(f"ambiguous column name: {ref.name}")
-        raise ProgrammingError(f"no such column: {ref.qualified}")
-
-    def lookup(self, ref: ColumnRef) -> Any:
-        return self.row[self.resolve(ref)]
-
-
-def evaluate(
-    expr: Expression,
-    context: Optional[RowContext] = None,
-    params: Sequence[Any] = (),
-) -> Any:
-    """Evaluate ``expr`` against the bound row in ``context``."""
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, Placeholder):
-        try:
-            return params[expr.index]
-        except IndexError:
-            raise ProgrammingError(
-                f"statement uses parameter {expr.index + 1} but only "
-                f"{len(params)} supplied"
-            ) from None
-    if isinstance(expr, ColumnRef):
-        if context is None:
-            raise ProgrammingError(f"column reference {ref_name(expr)} outside a row context")
-        return context.lookup(expr)
-    if isinstance(expr, UnaryOp):
-        return _eval_unary(expr, context, params)
-    if isinstance(expr, BinaryOp):
-        return _eval_binary(expr, context, params)
-    if isinstance(expr, IsNull):
-        value = evaluate(expr.operand, context, params)
-        result = value is None
-        return int(result != expr.negated)
-    if isinstance(expr, InList):
-        return _eval_in(expr, context, params)
-    if isinstance(expr, Between):
-        return _eval_between(expr, context, params)
-    if isinstance(expr, Like):
-        return _eval_like(expr, context, params)
-    if isinstance(expr, FunctionCall):
-        # Multi-argument MIN/MAX are scalar functions (sqlite semantics);
-        # other aggregate names never evaluate outside GROUP BY handling.
-        if is_aggregate(expr.name) and not (
-            expr.name in ("MIN", "MAX") and len(expr.args) >= 2
-        ):
-            raise ProgrammingError(
-                f"misuse of aggregate function {expr.name}() outside GROUP BY context"
-            )
-        args = [evaluate(a, context, params) for a in expr.args]
-        return call_scalar(expr.name, args)
-    if isinstance(expr, CaseExpr):
-        return _eval_case(expr, context, params)
-    if isinstance(expr, CastExpr):
-        return cast_value(evaluate(expr.operand, context, params), expr.target_type)
-    if isinstance(expr, Star):
-        raise ProgrammingError("'*' is only valid in a select list or COUNT(*)")
-    raise ProgrammingError(f"cannot evaluate expression node {type(expr).__name__}")
+from .functions import is_aggregate
 
 
 def ref_name(expr: Expression) -> str:
@@ -146,150 +54,6 @@ def truthy(value: Any) -> bool:
     return bool(value)
 
 
-# ---------------------------------------------------------------------------
-# operator implementations
-# ---------------------------------------------------------------------------
-
-
-def _eval_unary(expr: UnaryOp, context: Optional[RowContext], params: Sequence[Any]) -> Any:
-    value = evaluate(expr.operand, context, params)
-    if expr.op == "NOT":
-        if value is None:
-            return None
-        return int(not truthy(value))
-    if value is None:
-        return None
-    if expr.op == "-":
-        _require_number(value, "unary -")
-        return -value
-    raise ProgrammingError(f"unknown unary operator {expr.op}")
-
-
-def _eval_binary(expr: BinaryOp, context: Optional[RowContext], params: Sequence[Any]) -> Any:
-    op = expr.op
-    if op == "AND":
-        left = evaluate(expr.left, context, params)
-        if left is not None and not truthy(left):
-            return 0
-        right = evaluate(expr.right, context, params)
-        if right is not None and not truthy(right):
-            return 0
-        if left is None or right is None:
-            return None
-        return 1
-    if op == "OR":
-        left = evaluate(expr.left, context, params)
-        if left is not None and truthy(left):
-            return 1
-        right = evaluate(expr.right, context, params)
-        if right is not None and truthy(right):
-            return 1
-        if left is None or right is None:
-            return None
-        return 0
-
-    left = evaluate(expr.left, context, params)
-    right = evaluate(expr.right, context, params)
-    if op == "||":
-        if left is None or right is None:
-            return None
-        return _as_text(left) + _as_text(right)
-    if op in ("=", "<>", "<", ">", "<=", ">="):
-        return _compare(op, left, right)
-    # arithmetic
-    if left is None or right is None:
-        return None
-    _require_number(left, op)
-    _require_number(right, op)
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            return None  # sqlite yields NULL on division by zero
-        if isinstance(left, int) and isinstance(right, int):
-            return left // right if left % right == 0 else left / right
-        return left / right
-    if op == "%":
-        if right == 0:
-            return None
-        return left % right
-    raise ProgrammingError(f"unknown operator {op}")
-
-
-def _compare(op: str, left: Any, right: Any) -> Any:
-    if left is None or right is None:
-        return None
-    # numeric vs text never equal, like sqlite; but allow bool-as-int
-    if isinstance(left, str) != isinstance(right, str):
-        # try numeric coercion of the string side for PerfDMF convenience
-        if isinstance(left, str):
-            left = _maybe_number(left)
-        else:
-            right = _maybe_number(right)
-        if isinstance(left, str) != isinstance(right, str):
-            return int(op == "<>")  # incomparable: only <> is true
-    if op == "=":
-        return int(left == right)
-    if op == "<>":
-        return int(left != right)
-    if op == "<":
-        return int(left < right)
-    if op == ">":
-        return int(left > right)
-    if op == "<=":
-        return int(left <= right)
-    if op == ">=":
-        return int(left >= right)
-    raise ProgrammingError(f"unknown comparison {op}")
-
-
-def _eval_in(expr: InList, context: Optional[RowContext], params: Sequence[Any]) -> Any:
-    value = evaluate(expr.operand, context, params)
-    if value is None:
-        return None
-    saw_null = False
-    for item in expr.items:
-        candidate = evaluate(item, context, params)
-        if candidate is None:
-            saw_null = True
-            continue
-        hit = _compare("=", value, candidate)
-        if hit:
-            return int(not expr.negated)
-    if saw_null:
-        return None
-    return int(expr.negated)
-
-
-def _eval_between(expr: Between, context: Optional[RowContext], params: Sequence[Any]) -> Any:
-    value = evaluate(expr.operand, context, params)
-    low = evaluate(expr.low, context, params)
-    high = evaluate(expr.high, context, params)
-    if value is None or low is None or high is None:
-        return None
-    result = bool(_compare(">=", value, low)) and bool(_compare("<=", value, high))
-    return int(result != expr.negated)
-
-
-def _eval_like(expr: Like, context: Optional[RowContext], params: Sequence[Any]) -> Any:
-    value = evaluate(expr.operand, context, params)
-    pattern = evaluate(expr.pattern, context, params)
-    if value is None or pattern is None:
-        return None
-    result = like_match(str(pattern), str(value))
-    return int(result != expr.negated)
-
-
-def like_match(pattern: str, value: str) -> bool:
-    """SQL LIKE: ``%`` matches any run, ``_`` one char; case-insensitive."""
-    regex = _like_regex(pattern)
-    return regex.match(value) is not None
-
-
 _LIKE_CACHE: dict[str, re.Pattern[str]] = {}
 
 
@@ -310,27 +74,6 @@ def _like_regex(pattern: str) -> re.Pattern[str]:
         _LIKE_CACHE.clear()
     _LIKE_CACHE[pattern] = compiled
     return compiled
-
-
-def _eval_case(expr: CaseExpr, context: Optional[RowContext], params: Sequence[Any]) -> Any:
-    if expr.operand is not None:
-        subject = evaluate(expr.operand, context, params)
-        for condition, result in expr.whens:
-            candidate = evaluate(condition, context, params)
-            if subject is not None and candidate is not None and _compare("=", subject, candidate):
-                return evaluate(result, context, params)
-    else:
-        for condition, result in expr.whens:
-            if truthy(evaluate(condition, context, params)):
-                return evaluate(result, context, params)
-    if expr.default is not None:
-        return evaluate(expr.default, context, params)
-    return None
-
-
-def _require_number(value: Any, op: str) -> None:
-    if not isinstance(value, (int, float)):
-        raise DataError(f"non-numeric operand for {op}: {value!r}")
 
 
 def _maybe_number(text: str) -> Any:

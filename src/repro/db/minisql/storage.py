@@ -1121,7 +1121,7 @@ class Database:
         "rows_scanned", "rows_via_index", "full_scans",
         "index_eq_probes", "index_range_scans", "order_pushdowns",
         "bulk_loads", "bulk_rows", "bulk_index_rebuilds",
-        "plan_cache_hits", "plan_cache_misses", "compile_fallbacks",
+        "plan_cache_hits", "plan_cache_misses",
         "vector_selects", "vector_fallbacks", "columnar_conversions",
         "snapshot_selects", "snapshot_refreshes", "snapshot_table_clones",
         "snapshot_stale_serves",
@@ -1138,9 +1138,6 @@ class Database:
         #: one) bumps it; compiled plans are keyed on it, so a stale plan
         #: — compiled against old column offsets — can never be served.
         self.schema_version = 0
-        #: ``PRAGMA compile on/off`` switch for the query-compilation
-        #: layer; interpretation is always available as the fallback.
-        self.compile_enabled = True
         #: When True, newly created tables use columnar storage
         #: (``PRAGMA columnar(on/off)`` with no table name).
         self.columnar_default = False

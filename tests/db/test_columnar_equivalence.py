@@ -1,12 +1,13 @@
-"""Three-way differential harness: interpreter vs compiled vs columnar.
+"""Differential harness: row storage vs columnar storage.
 
 The vectorized executor ships results only when a whole SELECT completes
 cleanly over the column vectors; anything else falls back to the row
 pipeline.  That "atomic or fallback" contract is what this suite pins
-down: for the full conformance corpus and for statements that *error*
-mid-execution, all three MiniSQL execution modes must produce identical
-results, identical error classes and messages, and raise at the same
-point in the statement lifecycle (execute vs fetch).
+down: for the full conformance corpus the two MiniSQL storage modes must
+produce identical outcomes, and statements that *error* mid-execution
+must raise the pinned error class and message at the pinned point in
+the statement lifecycle (execute vs fetch) in both modes.  Results
+themselves are checked against sqlite3 by ``test_differential_sql``.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import pytest
 from repro.db import minisql
 from tests.test_differential_sql import CORPUS, Err, _normalise
 
-#: Pragmas establishing each execution mode on a fresh connection.
+#: Pragmas establishing each storage mode on a fresh connection.
 MODES = {
-    "interpreter": ("PRAGMA compile(off)",),
-    "compiled": ("PRAGMA compile(on)",),
-    "columnar": ("PRAGMA compile(on)", "PRAGMA columnar(on)"),
+    "row": (),
+    "columnar": ("PRAGMA columnar(on)",),
 }
 
 
@@ -56,7 +56,7 @@ def _outcome(conn, sql, params):
 
 
 @pytest.fixture
-def trio():
+def modes():
     conns = {mode: _connect(mode) for mode in MODES}
     yield conns
     for conn in conns.values():
@@ -64,8 +64,11 @@ def trio():
 
 
 class TestCorpusThreeWay:
-    def test_corpus_no_divergence(self, trio):
-        """Replay the full conformance corpus through all three modes."""
+    """Row vs columnar over the corpus (sqlite3 is the third way, in
+    ``test_differential_sql``)."""
+
+    def test_corpus_no_divergence(self, modes):
+        """Replay the full conformance corpus through both modes."""
         for position, entry in enumerate(CORPUS):
             if isinstance(entry, Err):
                 sql, params = entry.sql, entry.params
@@ -73,7 +76,7 @@ class TestCorpusThreeWay:
                 sql, params = entry
             outcomes = {
                 mode: _outcome(conn, sql, params)
-                for mode, conn in trio.items()
+                for mode, conn in modes.items()
             }
             distinct = set(map(repr, outcomes.values()))
             assert len(distinct) == 1, (
@@ -85,16 +88,16 @@ class TestCorpusThreeWay:
         errs = [e for e in CORPUS if isinstance(e, Err)]
         assert errs
 
-    def test_final_state_identical(self, trio):
+    def test_final_state_identical(self, modes):
         for entry in CORPUS:
             if isinstance(entry, Err):
                 sql, params = entry.sql, entry.params
             else:
                 sql, params = entry
-            for conn in trio.values():
+            for conn in modes.values():
                 _outcome(conn, sql, params)
         states = {}
-        for mode, conn in trio.items():
+        for mode, conn in modes.items():
             tables = sorted(
                 r[0] for r in conn.execute("PRAGMA table_list").fetchall()
             )
@@ -108,42 +111,53 @@ class TestCorpusThreeWay:
             # mixed types don't break tuple ordering.
             for t in states[mode]:
                 states[mode][t] = sorted(states[mode][t], key=repr)
-        assert states["interpreter"] == states["compiled"] == states["columnar"]
+        assert states["row"] == states["columnar"]
 
-    def test_columnar_mode_actually_vectorizes(self, trio):
+    def test_columnar_mode_actually_vectorizes(self, modes):
         """Guard against a vacuous pass: the columnar connection must
         have run real vectorized selects over the corpus."""
         for entry in CORPUS:
             if isinstance(entry, Err):
                 continue
             sql, params = entry
-            for conn in trio.values():
+            for conn in modes.values():
                 _outcome(conn, sql, params)
-        stats = trio["columnar"].stats()
+        stats = modes["columnar"].stats()
         assert stats["vector_selects"] > 0
-        assert trio["interpreter"].stats()["vector_selects"] == 0
-        assert trio["compiled"].stats()["vector_selects"] == 0
+        assert modes["row"].stats()["vector_selects"] == 0
 
 
 #: SELECTs guaranteed to fail on the `mix` fixture table (a text value
-#: in a numeric expression, an unknown function, ...).  Every mode must
-#: raise the same class, same message, at the same phase.
-ERROR_CASES = [
-    "SELECT -x FROM mix",
-    "SELECT x * 2 FROM mix",
-    "SELECT x + 1 FROM mix WHERE id > 1",
-    "SELECT abs(x) FROM mix",
-    "SELECT sum(x) FROM mix",
-    "SELECT nosuch(x) FROM mix",
-    "SELECT id FROM mix WHERE x - 1 > 0",
-    "SELECT id FROM mix WHERE x BETWEEN 1 AND 'oops' + 1",
-    "SELECT max(id) FROM mix ORDER BY x / 'zero'",
-]
+#: in a numeric expression, an unknown function, ...), each with its
+#: pinned (phase, error class, message) outcome.  Both modes must raise
+#: exactly that.
+ERROR_CASES = {
+    "SELECT -x FROM mix": (
+        "error@execute", "DataError", "non-numeric operand for unary -: 'abc'"),
+    "SELECT x * 2 FROM mix": (
+        "error@execute", "DataError", "non-numeric operand for *: 'abc'"),
+    "SELECT x + 1 FROM mix WHERE id > 1": (
+        "error@execute", "DataError", "non-numeric operand for +: 'abc'"),
+    "SELECT abs(x) FROM mix": (
+        "error@execute", "ProgrammingError",
+        "wrong argument count for ABS(): bad operand type for abs(): 'str'"),
+    "SELECT sum(x) FROM mix": (
+        "error@execute", "TypeError",
+        "unsupported operand type(s) for +: 'int' and 'str'"),
+    "SELECT nosuch(x) FROM mix": (
+        "error@execute", "ProgrammingError", "no such function: NOSUCH"),
+    "SELECT id FROM mix WHERE x - 1 > 0": (
+        "error@execute", "DataError", "non-numeric operand for -: 'abc'"),
+    "SELECT id FROM mix WHERE x BETWEEN 1 AND 'oops' + 1": (
+        "error@execute", "DataError", "non-numeric operand for +: 'oops'"),
+    "SELECT max(id) FROM mix ORDER BY x / 'zero'": (
+        "error@execute", "DataError", "non-numeric operand for /: 'zero'"),
+}
 
 
 class TestErrorTiming:
     @pytest.fixture
-    def trio(self):
+    def modes(self):
         conns = {}
         for mode in MODES:
             conn = _connect(mode)
@@ -159,19 +173,13 @@ class TestErrorTiming:
             conn.close()
 
     @pytest.mark.parametrize("sql", ERROR_CASES)
-    def test_error_class_message_and_phase_agree(self, trio, sql):
-        outcomes = {
-            mode: _outcome(conn, sql, ()) for mode, conn in trio.items()
-        }
-        reference = outcomes["interpreter"]
-        assert reference[0].startswith("error@"), (
-            f"expected an error case, got {reference!r}"
-        )
-        assert outcomes["compiled"] == reference
-        assert outcomes["columnar"] == reference
+    def test_error_class_message_and_phase_agree(self, modes, sql):
+        expected = ERROR_CASES[sql]
+        for mode, conn in modes.items():
+            assert _outcome(conn, sql, ()) == expected, mode
 
-    def test_failed_vector_attempt_counts_as_fallback(self, trio):
-        conn = trio["columnar"]
+    def test_failed_vector_attempt_counts_as_fallback(self, modes):
+        conn = modes["columnar"]
         before = conn.stats()["vector_fallbacks"]
         with pytest.raises(minisql.MiniSQLError):
             conn.execute("SELECT -x FROM mix").fetchall()

@@ -4,7 +4,7 @@ The pragma is the only way storage mode changes at runtime, so its
 interactions are load-bearing: conversions must be rejected inside
 transactions and bulk loads, must preserve data and indexes, and the
 ``vectorized`` EXPLAIN column must faithfully report whether the
-vector pipeline can engage (never under ``PRAGMA compile(off)``).
+vector pipeline can engage.
 """
 
 from __future__ import annotations
@@ -132,19 +132,6 @@ class TestTransactionGuards:
 
 
 class TestVectorGating:
-    def test_compile_off_never_vectorizes(self, populated):
-        populated.execute("PRAGMA columnar(t on)")
-        populated.execute("PRAGMA compile(off)")
-        oracle = [(100, sum(float(i) for i in range(100)))]
-        assert populated.execute(
-            "SELECT count(*), sum(v) FROM t"
-        ).fetchall() == [(100, pytest.approx(oracle[0][1]))]
-        stats = populated.stats()
-        assert stats["vector_selects"] == 0
-        assert stats["vector_fallbacks"] == 0
-        cursor = populated.execute("EXPLAIN SELECT sum(v) FROM t")
-        assert all(row[3] == "no" for row in cursor.fetchall())
-
     def test_vectorized_select_counts(self, populated):
         populated.execute("PRAGMA columnar(t on)")
         before = populated.stats()["vector_selects"]
@@ -155,7 +142,7 @@ class TestVectorGating:
 class TestExplainVectorizedColumn:
     def test_plain_explain_row_vs_columnar(self, populated):
         flags = {
-            row[1]: row[3]
+            row[1]: row[2]
             for row in populated.execute(
                 "EXPLAIN SELECT sum(v) FROM t WHERE k < 4"
             ).fetchall()
@@ -163,7 +150,7 @@ class TestExplainVectorizedColumn:
         assert flags["SCAN t"] == "no"
         populated.execute("PRAGMA columnar(t on)")
         flags = {
-            row[1]: row[3]
+            row[1]: row[2]
             for row in populated.execute(
                 "EXPLAIN SELECT sum(v) FROM t WHERE k < 4"
             ).fetchall()
@@ -175,7 +162,7 @@ class TestExplainVectorizedColumn:
         rows = populated.execute(
             "EXPLAIN ANALYZE SELECT sum(v) FROM t WHERE k < 4"
         ).fetchall()
-        flags = {row[1]: row[5] for row in rows}
+        flags = {row[1]: row[4] for row in rows}
         assert flags["SCAN t"] == "yes"
         assert flags["WHERE filter"] == "yes"
         assert flags["GROUP BY (hash aggregation)"] == "yes"
@@ -186,7 +173,7 @@ class TestExplainVectorizedColumn:
         rows = populated.execute(
             "EXPLAIN ANALYZE SELECT k, sum(v) FROM t GROUP BY k"
         ).fetchall()
-        flags = {row[1]: row[5] for row in rows}
+        flags = {row[1]: row[4] for row in rows}
         # Grouped aggregation stays on the compiled row pipeline.
         assert flags["GROUP BY (hash aggregation)"] == "no"
 

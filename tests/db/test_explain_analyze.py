@@ -30,7 +30,7 @@ def conn():
 def analyze(conn, sql, params=()):
     cursor = conn.execute(f"EXPLAIN ANALYZE {sql}", params)
     assert [d[0] for d in cursor.description] == [
-        "id", "detail", "rows", "time_ms", "compiled", "vectorized",
+        "id", "detail", "rows", "time_ms", "vectorized",
     ]
     return cursor.fetchall()
 
@@ -120,12 +120,12 @@ class TestVectorizedColumn:
     def test_vectorized_flag_tracks_storage_mode(self, conn):
         sql = "SELECT count(*), sum(v) FROM t WHERE k = 3"
         rows = analyze(conn, sql)
-        assert step(rows, "SCAN t")[5] == "no"
+        assert step(rows, "SCAN t")[4] == "no"
         conn.execute("PRAGMA columnar(t on)")
         rows = analyze(conn, sql)
-        assert step(rows, "SCAN t")[5] == "yes"
-        assert step(rows, "WHERE filter")[5] == "yes"
-        assert step(rows, "RESULT")[5] is None
+        assert step(rows, "SCAN t")[4] == "yes"
+        assert step(rows, "WHERE filter")[4] == "yes"
+        assert step(rows, "RESULT")[4] is None
         # Per-step row counts still come from the probed row pipeline
         # (probes bypass vector execution), so they stay exact.
         assert step(rows, "SCAN t")[2] == N

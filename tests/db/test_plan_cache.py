@@ -186,3 +186,25 @@ class TestSchemaVersionCounter:
         conn.execute("DELETE FROM t")
         conn.execute("SELECT * FROM t").fetchall()
         assert db.schema_version == v
+
+
+class TestSubqueryPlanReuse:
+    def test_repeated_in_subquery_compiles_once(self, conn):
+        """An ``IN (SELECT ...)`` statement keeps its cached plan: the
+        subquery's values are refilled per execution, not baked into a
+        rewritten copy of the statement that misses the cache."""
+        conn.execute("CREATE TABLE t (a INTEGER)")
+        conn.execute("CREATE TABLE u (a INTEGER)")
+        conn.execute("INSERT INTO t VALUES (1), (2), (3)")
+        conn.execute("INSERT INTO u VALUES (2), (3)")
+        sql = "SELECT a FROM t WHERE a IN (SELECT a FROM u) ORDER BY a"
+        assert conn.execute(sql).fetchall() == [(2,), (3,)]
+        misses = conn.stats()["plan_cache_misses"]
+        for _ in range(4):
+            assert conn.execute(sql).fetchall() == [(2,), (3,)]
+        assert conn.stats()["plan_cache_misses"] == misses
+        # Still one execution's worth of fresh subquery values each time.
+        conn.execute("DELETE FROM u WHERE a = 3")
+        misses = conn.stats()["plan_cache_misses"]
+        assert conn.execute(sql).fetchall() == [(2,)]
+        assert conn.stats()["plan_cache_misses"] == misses

@@ -37,18 +37,16 @@ _rows = st.lists(
 )
 
 
-#: MiniSQL execution modes every property must hold under: the pure
-#: interpreter, compiled row closures, and columnar vectorized batches.
-MODES = ["interpreter", "compiled", "columnar"]
+#: MiniSQL storage modes every property must hold under: row storage
+#: (compiled row closures) and columnar storage (vectorized batches).
+MODES = ["compiled", "columnar"]
 
 
 def _both(rows, mode="compiled"):
     """Load identical data into a fresh pair of engines."""
     ms = minisql.connect()
     sq = sqlite3.connect(":memory:")
-    if mode == "interpreter":
-        ms.execute("PRAGMA compile(off)")
-    elif mode == "columnar":
+    if mode == "columnar":
         ms.execute("PRAGMA columnar(on)")  # new tables default to columnar
     ddl = "CREATE TABLE t (k INTEGER, v REAL, x TEXT)"
     ms.execute(ddl)

@@ -124,7 +124,7 @@ class TestSqlCommand:
         out = capsys.readouterr().out
         header, *rows = out.splitlines()
         assert header.split("\t") == [
-            "id", "detail", "rows", "time_ms", "compiled", "vectorized",
+            "id", "detail", "rows", "time_ms", "vectorized",
         ]
         assert any("RESULT" in row for row in rows)
 

@@ -197,6 +197,18 @@ CORPUS = [
     ("SELECT name FROM emp WHERE dept_id = 1 ORDER BY name", ()),
     ("DELETE FROM emp WHERE name IN ('gus', 'hal', 'ivy')", ()),
     ("SELECT count(*) FROM emp", ()),
+    # --- IN (SELECT ...) outside a top-level WHERE ----------------------
+    ("CREATE TABLE t (a INTEGER)", ()),
+    ("CREATE TABLE u (a INTEGER)", ()),
+    ("INSERT INTO t VALUES (1), (2), (3)", ()),
+    ("INSERT INTO u VALUES (2), (3)", ()),
+    ("SELECT a, a IN (SELECT a FROM u) FROM t ORDER BY a", ()),
+    ("SELECT a, CASE WHEN a IN (SELECT a FROM u) THEN 'in' ELSE 'out' END "
+     "FROM t ORDER BY a", ()),
+    ("SELECT a, count(*) FROM t GROUP BY a "
+     "HAVING a IN (SELECT a FROM u) ORDER BY a", ()),
+    ("SELECT t.a, u.a FROM t JOIN u ON t.a = u.a "
+     "AND t.a IN (SELECT a FROM u WHERE a > 2) ORDER BY t.a", ()),
 ]
 
 
@@ -210,21 +222,15 @@ def _normalise(rows):
     return out
 
 
-@pytest.fixture(
-    params=["on", "off", "columnar"],
-    ids=["compile-on", "compile-off", "columnar"],
-)
+@pytest.fixture(params=["row", "columnar"], ids=["compile-on", "columnar"])
 def backends(request):
-    """Backend pair, run with MiniSQL's query compiler, on the pure
-    interpreter, and with columnar storage plus vectorized execution —
-    the corpus must pass identically every way."""
+    """Backend pair, with MiniSQL on row storage (test id ``compile-on``,
+    kept from when compilation could be switched off) and on columnar
+    storage with vectorized execution — the corpus must pass both ways."""
     sqlite_conn = connect("sqlite://:memory:")
     minisql_conn = connect("minisql://:memory:")
     if request.param == "columnar":
-        minisql_conn.execute("PRAGMA compile(on)")
         minisql_conn.execute("PRAGMA columnar(on)")
-    else:
-        minisql_conn.execute(f"PRAGMA compile({request.param})")
     yield sqlite_conn, minisql_conn
     sqlite_conn.close()
     minisql_conn.close()
