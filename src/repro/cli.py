@@ -38,6 +38,18 @@ from .paraprof import (
 )
 
 
+def _positive(kind):
+    """argparse type: a ``kind`` number greater than 0 (counts, timeouts)."""
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:  # also rejects NaN
+            raise argparse.ArgumentTypeError(f"must be greater than 0, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" wording
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="perfdmf",
@@ -160,28 +172,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replica-name", default=None,
                    help="replica identity reported to the primary "
                         "(default: replica-<pid>)")
-    p.add_argument("--max-in-flight", type=int, default=None, metavar="N",
+    p.add_argument("--max-in-flight", type=_positive(int), default=None,
+                   metavar="N",
                    help="admission control: shed requests (RETRY_LATER) "
                         "past N concurrent dispatches")
-    p.add_argument("--core", default="async", choices=("async", "threaded"),
-                   help="serving core: 'async' (event-loop multiplexer, "
-                        "default) or 'threaded' (one thread per "
-                        "connection, the pre-rebuild engine)")
-    p.add_argument("--max-connections", type=int, default=None, metavar="N",
-                   help="async core: refuse connections past N concurrent "
-                        "clients (counted in "
-                        "server.connections_refused_total)")
-    p.add_argument("--executor-threads", type=int, default=8, metavar="N",
-                   help="async core: worker threads executing dispatched "
-                        "requests (default 8)")
-    p.add_argument("--idle-timeout", type=float, default=None,
+    p.add_argument("--max-connections", type=_positive(int), default=None,
+                   metavar="N",
+                   help="refuse connections past N concurrent clients "
+                        "(counted in server.connections_refused_total)")
+    p.add_argument("--executor-threads", type=_positive(int), default=8,
+                   metavar="N",
+                   help="worker threads executing dispatched requests "
+                        "(default 8)")
+    p.add_argument("--idle-timeout", type=_positive(float), default=None,
                    metavar="SECONDS",
-                   help="async core: reap connections idle this long with "
-                        "no request in flight (default: never)")
-    p.add_argument("--partial-frame-timeout", type=float, default=30.0,
-                   metavar="SECONDS",
-                   help="async core: reap connections stalled mid-frame "
-                        "this long — the slowloris guard (default 30)")
+                   help="reap connections idle this long with no request "
+                        "in flight (default: never)")
+    p.add_argument("--partial-frame-timeout", type=_positive(float),
+                   default=30.0, metavar="SECONDS",
+                   help="reap connections stalled mid-frame this long — "
+                        "the slowloris guard (default 30)")
     add_trace(p)
 
     p = sub.add_parser(
@@ -578,7 +588,7 @@ def _parse_host_port(text: str, flag: str) -> tuple[str, int]:
 
 
 def _cmd_serve(args) -> int:
-    from .explorer import AnalysisServer, SocketServer, ThreadedSocketServer
+    from .explorer import AnalysisServer, SocketServer
     from .obs import configure_logging
 
     # Surface the per-request structured log on stderr.
@@ -611,20 +621,14 @@ def _cmd_serve(args) -> int:
             return 2
         analysis = AnalysisServer(args.db)
     telemetry_port = None if args.no_telemetry else args.telemetry_port
-    if args.core == "threaded":
-        server = ThreadedSocketServer(
-            analysis, host=args.host, port=args.port,
-            telemetry_port=telemetry_port, max_in_flight=args.max_in_flight,
-        )
-    else:
-        server = SocketServer(
-            analysis, host=args.host, port=args.port,
-            telemetry_port=telemetry_port, max_in_flight=args.max_in_flight,
-            executor_threads=args.executor_threads,
-            max_connections=args.max_connections,
-            idle_timeout=args.idle_timeout,
-            partial_frame_timeout=args.partial_frame_timeout,
-        )
+    server = SocketServer(
+        analysis, host=args.host, port=args.port,
+        telemetry_port=telemetry_port, max_in_flight=args.max_in_flight,
+        executor_threads=args.executor_threads,
+        max_connections=args.max_connections,
+        idle_timeout=args.idle_timeout,
+        partial_frame_timeout=args.partial_frame_timeout,
+    )
     host, port = server.start()
     role = "read-only replica" if replica is not None else "analysis"
     print(f"PerfExplorer {role} server listening on {host}:{port}")

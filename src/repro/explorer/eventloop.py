@@ -1,12 +1,10 @@
-"""Event-loop serving core for PerfExplorer (the async `SocketServer`).
+"""PerfExplorer's TCP front end: the event-loop `SocketServer`.
 
 One reactor thread multiplexes every client connection through a
 :mod:`selectors`-based event loop — the same zero-dependency discipline
-as the rest of the codebase.  The thread-per-connection core (kept as
-:class:`~repro.explorer.server.ThreadedSocketServer` for like-for-like
-benchmarking) spends one OS thread, one 8 MiB stack, and a scheduler
-slot per client even when the client is idle; this core holds thousands
-of mostly-idle connections on one thread:
+as the rest of the codebase.  An idle client costs a socket and a small
+buffer, not an OS thread and its stack, so one process holds thousands
+of mostly-idle connections:
 
 * **non-blocking accept** — the listener is part of the selector; an
   accept burst drains in one loop pass, with ``max_connections``
@@ -25,8 +23,9 @@ of mostly-idle connections on one thread:
   order even though the pool executes out of order;
 * **admission control at the dispatch queue** — with ``max_in_flight``
   set, a request arriving while that many are queued-or-executing is
-  shed with a retryable RETRY_LATER (``server.admission_shed_total``),
-  exactly the threaded core's contract measured at the new queue;
+  shed with a retryable RETRY_LATER (``server.admission_shed_total``);
+  the time an admitted request waits there is observed in
+  ``server.queue_wait_seconds``;
 * **drain-on-stop** — ``stop(drain=True)`` lets dispatched requests
   finish and answers queued-but-not-dispatched ones with RETRY_LATER
   (``server.drain_shed_total``), then flushes every buffered reply
@@ -36,10 +35,10 @@ of mostly-idle connections on one thread:
   idle past ``idle_timeout`` with nothing in flight, is closed and
   counted in ``server.idle_reaped_total``.
 
-The wire shim hooks are preserved: receives pass
+Chaos-shim hooks: receives pass
 ``faults.net_point(..., "net.server.recv")`` and every queued reply
 applies the armed ``net.server.send`` fault (drop / trunc / delay /
-reset), so the chaos harness drives this core exactly like the old one.
+reset), so the chaos harness can fault both server-side points.
 """
 
 from __future__ import annotations
@@ -62,8 +61,7 @@ from .protocol import (
     ProtocolError, decode_message, encode_message, extract_trace_context,
 )
 
-#: Request logs carry the same logger name as the threaded core — the
-#: serving core is an implementation detail, not a log topology change.
+#: Request logs are named for the server module the front end serves.
 _log = get_logger("repro.explorer.server")
 
 _RECV_CHUNK = 65536
@@ -98,11 +96,9 @@ class _Connection:
 class SocketServer:
     """TCP front end: one event-loop thread multiplexing every client.
 
-    Drop-in replacement for the thread-per-connection core — same
-    constructor surface, ``start()``/``stop()`` lifecycle, admission
-    control, drain semantics, request log, metrics, and telemetry
-    mounting — plus:
-
+    ``max_in_flight``
+        Admission control: shed requests (RETRY_LATER) arriving while
+        this many are already queued or executing.
     ``executor_threads``
         Size of the bounded worker pool requests are dispatched onto
         (default 8; the loop itself never executes a handler).
@@ -234,7 +230,7 @@ class SocketServer:
                 self._in_flight -= len(abandoned)
                 if self._in_flight == 0:
                     self._idle.notify_all()
-            for conn, seq, request in abandoned:
+            for conn, seq, request, _queued_at in abandoned:
                 _registry.counter("server.drain_shed_total").inc()
                 self._completed.append(
                     (conn, seq, _retry_later_bytes(request, "shutting down"))
@@ -470,7 +466,7 @@ class SocketServer:
             else:
                 admitted = True
                 self._in_flight += 1
-                self._queue.append((conn, seq, request))
+                self._queue.append((conn, seq, request, time.perf_counter()))
                 self._idle.notify()
         if not admitted:
             _registry.counter("server.admission_shed_total").inc()
@@ -495,8 +491,8 @@ class SocketServer:
             conn.open_requests -= 1
             if data is None:
                 # A response the protocol could not encode: the worker
-                # already counted the bug; kill the connection like the
-                # threaded core's serve loop did.
+                # already counted the bug; close the connection so the
+                # client sees an error instead of waiting forever.
                 self._close(conn)
                 return
             if not self._enqueue_send(conn, data):
@@ -642,7 +638,10 @@ class SocketServer:
                     self._idle.wait()
                 if not self._queue:
                     return  # shutdown
-                conn, seq, request = self._queue.popleft()
+                conn, seq, request, queued_at = self._queue.popleft()
+            _registry.histogram("server.queue_wait_seconds").observe(
+                time.perf_counter() - queued_at
+            )
             payload = self._execute(request)
             with self._idle:
                 self._in_flight -= 1

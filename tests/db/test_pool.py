@@ -50,7 +50,8 @@ class TestPoolBasics:
 class TestPoolConcurrency:
     def test_concurrent_borrowers_share_named_minisql(self):
         # Named MiniSQL databases share a catalog across connections —
-        # this is what PerfExplorer's threaded server relies on.
+        # this is what a PerfExplorer replica server relies on to read
+        # the database its WAL applier writes (``Replica.shared_url``).
         from repro.db.minisql import reset_shared_databases
 
         pool = ConnectionPool("minisql://pool-test", size=4)

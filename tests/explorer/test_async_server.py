@@ -15,9 +15,7 @@ import pytest
 
 from repro.explorer.client import PerfExplorerClient, RetryLater
 from repro.explorer.protocol import MessageStream, ProtocolError
-from repro.explorer.server import (
-    AnalysisServer, SocketServer, ThreadedSocketServer,
-)
+from repro.explorer.server import AnalysisServer, SocketServer
 from repro.obs.metrics import registry
 from repro.testing import faults
 
@@ -297,18 +295,49 @@ class TestHealthAndLoad:
         finally:
             sock.stop(drain=False)
 
-    def test_server_load_rpc_on_both_cores(self):
-        for core in (SocketServer, ThreadedSocketServer):
-            analysis = AnalysisServer("minisql://:memory:")
-            sock = core(analysis, port=0)
-            host, port = sock.start()
-            try:
-                with PerfExplorerClient(host, port, timeout=10) as client:
-                    load = client.call("server_load")
-                assert load["connections"] >= 1
-                assert load["in_flight"] >= 0 and load["queued"] >= 0
-            finally:
-                sock.stop(drain=False)
+    def test_server_load_rpc_reports_live_load(self):
+        """``server_load`` counts connections and admitted requests: a
+        handler blocked on one connection shows up as in flight while
+        a second connection asks (the probe itself is in flight too)."""
+        release = threading.Event()
+        sock, analysis, host, port = _start(executor_threads=2)
+        analysis._handlers["block"] = lambda: release.wait(10) and "done"
+        try:
+            stream = _raw_stream(host, port)
+            stream.send({"id": 1, "method": "block", "params": {}})
+            deadline = time.monotonic() + 5
+            while sock._load_snapshot()["in_flight"] < 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            with PerfExplorerClient(host, port, timeout=10) as client:
+                load = client.call("server_load")
+            assert load == {"in_flight": 2, "queued": 0, "connections": 2}
+            release.set()
+            assert stream.receive(timeout=10)["result"] == "done"
+            stream.close()
+        finally:
+            release.set()
+            sock.stop(drain=False)
+
+    def test_queue_wait_is_observed(self):
+        """A request queued behind a busy worker records its wait in
+        ``server.queue_wait_seconds`` when a worker picks it up."""
+        waits = registry.histogram("server.queue_wait_seconds")
+        waits.reset()
+        sock, analysis, host, port = _start(executor_threads=1)
+        analysis._handlers["slow"] = lambda: time.sleep(0.2) or "slow"
+        try:
+            stream = _raw_stream(host, port)
+            stream.send({"id": 1, "method": "slow", "params": {}})
+            stream.send({"id": 2, "method": "ping", "params": {}})
+            replies = [stream.receive(timeout=10) for _ in range(2)]
+            assert [r["id"] for r in replies] == [1, 2]
+            snapshot = waits.snapshot()
+            assert snapshot["count"] == 2
+            assert snapshot["max"] >= 0.15
+            stream.close()
+        finally:
+            sock.stop(drain=False)
 
 
 class TestChaosShim:

@@ -79,6 +79,27 @@ class TestServe:
         out = capsys.readouterr().out
         assert "listening on 127.0.0.1:" in out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-in-flight", "0"),
+        ("--max-connections", "0"),
+        ("--executor-threads", "0"),
+        ("--executor-threads", "-1"),
+        ("--idle-timeout", "0"),
+        ("--idle-timeout", "-5"),
+        ("--partial-frame-timeout", "0"),
+        ("--partial-frame-timeout", "-0.5"),
+    ])
+    def test_serve_rejects_limits_that_serve_nothing(
+        self, tmp_path, capsys, flag, value
+    ):
+        db = f"sqlite://{tmp_path}/s.db"
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--db", db, "--once", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: must be greater than 0" in captured.err
+        assert "listening" not in captured.out
+
 
 class TestReport:
     def test_html_report_written(self, src_db, tmp_path, capsys):
