@@ -400,7 +400,7 @@ def _print_ingest_stats(stats: dict) -> None:
     stages = (
         ("parse", "ingest_parse_seconds"),
         ("insert", "ingest_insert_seconds"),
-        ("index rebuild", "ingest_index_seconds"),
+        ("index update", "ingest_index_seconds"),
         ("summaries", "ingest_summary_seconds"),
     )
     print("ingest stage timings:")

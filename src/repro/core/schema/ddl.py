@@ -188,26 +188,6 @@ _INDEXES = (
     ),
     ("CREATE INDEX idx_ilp_metric ON interval_location_profile (metric)", "hash"),
     ("CREATE INDEX idx_ilp_node ON interval_location_profile (node)", "btree"),
-    (
-        "CREATE INDEX idx_ilp_exclusive "
-        "ON interval_location_profile (exclusive)",
-        "btree",
-    ),
-    (
-        "CREATE INDEX idx_its_exclusive "
-        "ON interval_total_summary (exclusive)",
-        "btree",
-    ),
-    (
-        "CREATE INDEX idx_ims_exclusive "
-        "ON interval_mean_summary (exclusive)",
-        "btree",
-    ),
-    (
-        "CREATE INDEX idx_ims_inclusive "
-        "ON interval_mean_summary (inclusive)",
-        "btree",
-    ),
     ("CREATE INDEX idx_atomic_event_trial ON atomic_event (trial)", "hash"),
     ("CREATE INDEX idx_alp_event ON atomic_location_profile (atomic_event)", "hash"),
     ("CREATE INDEX idx_result_settings ON analysis_result (settings)", "hash"),

@@ -167,9 +167,9 @@ class PerfDMFSession(DataSession):
 
         With ``bulk`` (the default) the whole profile is streamed through
         the connection's bulk-load mode: on minisql, secondary index
-        maintenance and per-row undo records are deferred to one rebuild
-        at the end of the batch; on sqlite the same code path is plain
-        ``executemany`` batching.  Per-stage timings land in
+        maintenance and per-row undo records are deferred to one index
+        update over the batch's rows at its end; on sqlite the same code
+        path is plain ``executemany`` batching.  Per-stage timings land in
         ``connection.ingest_stats`` (surfaced by ``connection.stats()``).
         ``bulk=False`` keeps the per-row legacy path for comparison.
         """
@@ -236,7 +236,7 @@ class PerfDMFSession(DataSession):
 
             index_started = perf_counter()
             if bulk:
-                conn.end_bulk()  # the one secondary-index rebuild
+                conn.end_bulk()  # the one secondary-index update
             index_seconds = perf_counter() - index_started
 
             summary_started = perf_counter()

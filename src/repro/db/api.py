@@ -234,14 +234,14 @@ class DBConnection:
             self._raw.execute("PRAGMA bulk_load(on)")
 
     def end_bulk(self) -> None:
-        """Leave bulk-load mode, rebuilding deferred indexes (minisql)."""
+        """Leave bulk-load mode, finishing deferred indexes (minisql)."""
         with self._lock:
             self._raw.execute("PRAGMA bulk_load(off)")
 
     @contextmanager
     def bulk_load(self) -> Iterator["DBConnection"]:
         """Transactional bulk load: commit on success, all-or-nothing
-        rollback on error; indexes are rebuilt on exit either way."""
+        rollback on error; indexes are finished on exit either way."""
         self.begin_bulk()
         try:
             yield self

@@ -58,15 +58,54 @@ CompiledExpr = Callable[[Sequence[Any], Sequence[Any], Optional[Sequence[Any]]],
 
 @dataclass
 class SubqueryCell:
-    """Result values of one uncorrelated ``IN (SELECT ...)``.
+    """Result values of one uncorrelated ``IN (SELECT ...)``, as hash sets.
 
-    The executor refills ``values`` at the start of every execution of
-    the plan that owns the cell, so each statement run sees one
-    consistent subquery result without re-planning.
+    The executor refills the cell (:meth:`fill`) at the start of every
+    execution of the plan that owns it, so each statement run sees one
+    consistent subquery result without re-planning, and each outer row
+    costs a set probe rather than a walk over the result.
     """
 
     select: Any  # ast_nodes.Select
-    values: list = field(default_factory=list)
+    strings: set = field(default_factory=set)
+    #: Non-text candidates.
+    numbers: set = field(default_factory=set)
+    #: Numeric text candidates, converted (``'1.0'`` -> 1.0).
+    text_numbers: set = field(default_factory=set)
+    saw_null: bool = False
+
+    def fill(self, values: Iterable[Any]) -> None:
+        strings, numbers, text_numbers = set(), set(), set()
+        saw_null = False
+        for value in values:
+            if value is None:
+                saw_null = True
+            elif isinstance(value, str):
+                strings.add(value)
+                number = _maybe_number(value)
+                if not isinstance(number, str):
+                    text_numbers.add(number)
+            else:
+                numbers.add(value)
+        self.strings, self.numbers, self.text_numbers = strings, numbers, text_numbers
+        self.saw_null = saw_null
+
+    def contains(self, value: Any) -> bool:
+        """Whether ``_eq_values(value, candidate)`` holds for some
+        candidate; ``value`` is not NULL.  Text meets text as text, and
+        numbers meet numeric text as numbers.  ``value == value`` keeps
+        NaN from matching itself, which set membership's identity check
+        would otherwise allow."""
+        if isinstance(value, str):
+            if value in self.strings:
+                return True
+            value = _maybe_number(value)
+            if isinstance(value, str):
+                return False
+            return value == value and value in self.numbers
+        return value == value and (
+            value in self.numbers or value in self.text_numbers
+        )
 
 
 @dataclass
@@ -406,7 +445,9 @@ def _compile_in(
             value = operand(row, params, aggs)
             if value is None:
                 return None
-            return _in_result(value, cell.values, negated)
+            if cell.contains(value):
+                return int(not negated)
+            return None if cell.saw_null else int(negated)
 
         return in_subquery_fn
 

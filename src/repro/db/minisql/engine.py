@@ -251,8 +251,9 @@ class Connection:
         """Scoped bulk-load mode (``PRAGMA bulk_load``).
 
         Inside the block, ``executemany`` inserts append rows with
-        secondary index maintenance deferred; indexes are rebuilt once on
-        exit (even on error — rollback remains the caller's call).
+        secondary index maintenance deferred; indexes are brought up to
+        date once on exit (even on error — rollback remains the caller's
+        call).
         """
         self.execute("PRAGMA bulk_load(on)")
         try:

@@ -854,7 +854,7 @@ class Executor:
             columns, rows = self._execute_select(cell.select, params)
             if len(columns) != 1:
                 raise ProgrammingError("IN subquery must return exactly one column")
-            cell.values = [row[0] for row in rows]
+            cell.fill(row[0] for row in rows)
 
     def _execute_select_core(
         self, stmt: Select, params: Sequence[Any]

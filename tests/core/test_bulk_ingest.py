@@ -168,6 +168,24 @@ class TestSaveTrialBulkParity:
         assert stats["bulk_index_rebuilds"] > 0
         s.close()
 
+    def test_index_upkeep_costs_the_trial_not_the_archive(self, columnar):
+        added = {}
+        for prior in (1, 5):
+            s = PerfDMFSession("minisql://:memory:")
+            exp = s.create_experiment(s.create_application("a"), "e")
+            for i in range(prior):
+                s.save_trial(columnar, exp, f"prior{i}")
+            before = s.connection.stats()["bulk_index_rows"]
+            s.save_trial(columnar, exp, "t")
+            added[prior] = s.connection.stats()["bulk_index_rows"] - before
+            s.close()
+        assert added[1] == added[5]
+        # metric and interval_event: one index each; ILP: three.
+        assert added[1] == (
+            columnar.num_metrics + len(columnar.event_names)
+            + 3 * columnar.num_data_points
+        )
+
     def test_location_rows_vectorised_matches_generator(self, columnar):
         for m in range(columnar.num_metrics):
             fast = columnar.location_rows(m)

@@ -94,7 +94,7 @@ class TestDDLGeneration:
 
     def test_statement_splitting(self):
         statements = ddl_statements("sqlite")
-        assert len(statements) == len(TABLE_NAMES) + 14  # tables + indexes
+        assert len(statements) == len(TABLE_NAMES) + 10  # tables + indexes
         assert all(not s.endswith(";") for s in statements)
 
     def test_minisql_gets_ordered_indexes(self):
