@@ -31,6 +31,17 @@ def scale(default: int, full: int) -> int:
     return full if FULL_SCALE else default
 
 
+def create_exclusive_btree(session) -> None:
+    """Add the btree on ILP ``exclusive`` that E2's and E11's top-N
+    query times.  The product schema carries none: no shipped statement
+    orders or ranges over that column."""
+    session.connection.execute(
+        "CREATE INDEX idx_ilp_exclusive "
+        "ON interval_location_profile (exclusive) USING BTREE"
+    )
+    session.connection.commit()
+
+
 @pytest.fixture(scope="session")
 def report():
     """Collects experiment report lines, shown in the terminal summary."""
